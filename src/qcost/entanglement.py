@@ -19,14 +19,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import optim, rng
-from .measures import (DistanceKind, SUPPORT_CUTOFF, distance,
-                       relative_entropy, vn_entropy)
+from .measures import (DistanceKind, Objective, distance, relative_entropy,
+                       vn_entropy)
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
                    partial_trace, partial_transpose, permute_subsystems,
                    vector_state)
 from .quantumness import MeasurementBasis, measure_channel
 
-_LN2 = np.log(2.0)
 _MERGE_OVERLAP = 1.0 - 1e-10
 _WEIGHT_FLOOR = 1e-12
 
@@ -128,60 +127,6 @@ def _to_cut_order(rho: DensityMatrix, cut: Bipartition):
     return rc, dx, dy
 
 
-class _Objective:
-    """f(sigma) and its gradient for the chosen distance kind, with the
-    state-dependent pieces precomputed."""
-
-    def __init__(self, rho_mat: np.ndarray, kind: DistanceKind):
-        self.kind = kind
-        self.rho = rho_mat
-        w = np.linalg.eigvalsh(rho_mat)
-        w = w[w > SUPPORT_CUTOFF]
-        self.neg_entropy = float(np.sum(w * np.log2(w)))  # Tr[rho log2 rho]
-        if kind is DistanceKind.BURES:
-            ww, vv = np.linalg.eigh(rho_mat)
-            self.sqrt_rho = (vv * np.sqrt(np.clip(ww, 0.0, None))) @ vv.conj().T
-
-    def value(self, sigma: np.ndarray) -> float:
-        if self.kind is DistanceKind.RELATIVE_ENTROPY:
-            s, v = np.linalg.eigh(sigma)
-            weights = np.einsum("ij,ji->i", v.conj().T @ self.rho, v).real
-            outside = s <= SUPPORT_CUTOFF
-            if np.sum(np.clip(weights[outside], 0.0, None)) > 1e-10:
-                return np.inf
-            keep = ~outside
-            return self.neg_entropy - float(np.sum(weights[keep] * np.log2(s[keep])))
-        if self.kind is DistanceKind.TRACE:
-            return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(self.rho - sigma))))
-        m = self.sqrt_rho @ sigma @ self.sqrt_rho
-        w = np.linalg.eigvalsh(m)
-        w[w < 1e-13] = 0.0
-        f = np.sum(np.sqrt(w)) ** 2
-        return float(2.0 * (1.0 - np.sqrt(min(max(f, 0.0), 1.0))))
-
-    def gradient(self, sigma: np.ndarray) -> np.ndarray:
-        if self.kind is DistanceKind.RELATIVE_ENTROPY:
-            s, v = np.linalg.eigh(sigma)
-            s = np.clip(s, SUPPORT_CUTOFF, None)
-            rho_t = v.conj().T @ self.rho @ v
-            logs = np.log2(s)
-            diff = s[:, None] - s[None, :]
-            near = np.abs(diff) <= 1e-14
-            safe_diff = np.where(near, 1.0, diff)
-            core = np.where(near, 1.0 / (s[:, None] * _LN2),
-                            (logs[:, None] - logs[None, :]) / safe_diff)
-            grad_t = -rho_t * core
-            return v @ grad_t @ v.conj().T
-        if self.kind is DistanceKind.TRACE:
-            w, v = np.linalg.eigh(sigma - self.rho)
-            return 0.5 * (v * np.sign(w)) @ v.conj().T
-        m = self.sqrt_rho @ sigma @ self.sqrt_rho
-        w, v = np.linalg.eigh(m)
-        inv_sqrt = np.where(w > 1e-14, 1.0 / np.sqrt(np.clip(w, 1e-30, None)), 0.0)
-        mid = (v * inv_sqrt) @ v.conj().T
-        return -self.sqrt_rho @ mid @ self.sqrt_rho
-
-
 class _Atoms:
     """Working separable ensemble: stacked product vectors with weights."""
 
@@ -236,7 +181,7 @@ class _Atoms:
                 [v.copy() for v in self.right])
 
 
-def _reoptimize_weights(atoms: _Atoms, objective: _Objective,
+def _reoptimize_weights(atoms: _Atoms, objective: Objective,
                         iters: int = 60) -> float:
     """Exponentiated-gradient descent on the convex weight subproblem."""
     p = atoms.weights / np.sum(atoms.weights)
@@ -270,7 +215,7 @@ def _reoptimize_weights(atoms: _Atoms, objective: _Objective,
     return f
 
 
-def _line_search(objective: _Objective, sigma: np.ndarray,
+def _line_search(objective: Objective, sigma: np.ndarray,
                  atom_outer: np.ndarray, f_now: float):
     def fg(gamma: float) -> float:
         return objective.value((1.0 - gamma) * sigma + gamma * atom_outer)
@@ -314,7 +259,7 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
     for cand in candidates:
         if len(cand) > cap:
             raise InputError(f"candidate ensemble has {len(cand)} > K={cap} terms")
-    objective = _Objective(rc.mat, kind)
+    objective = Objective(rc.mat, kind)
 
     if cap == 1:
         _, a, b = _best_single_product(dx, dy, objective, cfg)

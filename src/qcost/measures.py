@@ -1,9 +1,27 @@
 """Entropy and distance functionals on density matrices.
 
-All entropic quantities use logarithm base 2 (bits).  Eigenvalues at or
-below SUPPORT_CUTOFF are treated as exact zeros when taking logs: such
-eigenvalues of the first argument contribute nothing, such eigenvalues of
-the second argument force +infinity if the first argument has weight there.
+All entropic quantities use logarithm base 2 (bits).  The three distances
+(relative entropy, trace, Bures) and their gradients have one
+implementation, ``Objective``; every distance in the package, including
+the deficit and entanglement searches, is computed through it.  The one
+exception is the deficit search's relative-entropy kind, which uses the
+dephasing identity S(rho') - S(rho) (see quantumness.deficit_for_basis).
+
+Cutoffs, each guarding one numerical hazard:
+
+- ``SUPPORT_CUTOFF``: eigenvalues at or below it are exact zeros when
+  taking logs.  Such eigenvalues of the first argument contribute nothing;
+  such eigenvalues of the second argument force +infinity if the first
+  argument has weight there.
+- ``SUPPORT_LEAK_TOL``: weight of the state allowed outside the reference's
+  support before the relative entropy is declared +infinity.
+- ``FIDELITY_DUST``: eigenvalues of sqrt(rho) sigma sqrt(rho) below it are
+  zeroed before the square root in the fidelity, which would amplify them.
+- ``DEGENERACY_TOL``: eigenvalue gaps of sigma at or below it take the
+  derivative of log2 instead of the divided difference in the
+  relative-entropy gradient.
+- ``BURES_NULL_TOL``: eigenvalues of sqrt(rho) sigma sqrt(rho) at or below
+  it get no inverse square root in the Bures gradient.
 """
 
 from __future__ import annotations
@@ -15,9 +33,13 @@ import numpy as np
 from .qmat import DensityMatrix, InputError
 
 SUPPORT_CUTOFF = 1e-12
-# Weight of rho allowed outside sigma's support before declaring +infinity;
-# pure numerical dust from 1e-9-validated states stays well below this.
+# Pure numerical dust from 1e-9-validated states stays well below this.
 SUPPORT_LEAK_TOL = 1e-10
+FIDELITY_DUST = 1e-13
+DEGENERACY_TOL = 1e-14
+BURES_NULL_TOL = 1e-14
+
+_LN2 = np.log(2.0)
 
 
 class DistanceKind(Enum):
@@ -53,48 +75,86 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.sum(np.abs(rho.mat) ** 2))
 
 
-def _log_expectation(rho_mat: np.ndarray, omega_mat: np.ndarray) -> float:
-    """Tr[rho log2 omega], +/-infinity rules as in the module docstring."""
-    s, v = np.linalg.eigh(omega_mat)
-    weights = np.einsum("ij,ji->i", v.conj().T @ rho_mat, v).real
-    outside = s <= SUPPORT_CUTOFF
-    if np.sum(np.clip(weights[outside], 0.0, None)) > SUPPORT_LEAK_TOL:
-        return -np.inf
-    inside = ~outside
-    return float(np.sum(weights[inside] * np.log2(s[inside])))
+class Objective:
+    """D(rho, sigma) and its gradient in sigma for one distance kind.
+
+    The rho-dependent part is computed once: Tr[rho log2 rho] for the
+    relative entropy, sqrt(rho) for Bures; the trace kind needs neither.
+    rho is the state and sigma the reference, as in ``distance``.
+    """
+
+    def __init__(self, rho_mat: np.ndarray, kind: DistanceKind):
+        self.kind = kind
+        self.rho = rho_mat
+        if kind is DistanceKind.RELATIVE_ENTROPY:
+            self.neg_entropy = -entropy_of_spectrum(np.linalg.eigvalsh(rho_mat))
+        elif kind is DistanceKind.BURES:
+            w, v = np.linalg.eigh(rho_mat)
+            self.sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        elif kind is not DistanceKind.TRACE:
+            raise InputError(f"unknown distance kind {kind!r}")
+
+    def value(self, sigma: np.ndarray) -> float:
+        if self.kind is DistanceKind.RELATIVE_ENTROPY:
+            s, v = np.linalg.eigh(sigma)
+            weights = np.einsum("ij,ji->i", v.conj().T @ self.rho, v).real
+            outside = s <= SUPPORT_CUTOFF
+            if np.sum(np.clip(weights[outside], 0.0, None)) > SUPPORT_LEAK_TOL:
+                return np.inf
+            keep = ~outside
+            return self.neg_entropy - float(np.sum(weights[keep] * np.log2(s[keep])))
+        if self.kind is DistanceKind.TRACE:
+            return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(self.rho - sigma))))
+        return float(2.0 * (1.0 - np.sqrt(self.fidelity(sigma))))
+
+    def fidelity(self, sigma: np.ndarray) -> float:
+        """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped
+        to [0, 1]; Bures kind only."""
+        w = np.linalg.eigvalsh(self.sqrt_rho @ sigma @ self.sqrt_rho)
+        w[w < FIDELITY_DUST] = 0.0
+        f = float(np.sum(np.sqrt(w)) ** 2)
+        return min(max(f, 0.0), 1.0)
+
+    def gradient(self, sigma: np.ndarray) -> np.ndarray:
+        if self.kind is DistanceKind.RELATIVE_ENTROPY:
+            s, v = np.linalg.eigh(sigma)
+            s = np.clip(s, SUPPORT_CUTOFF, None)
+            rho_t = v.conj().T @ self.rho @ v
+            logs = np.log2(s)
+            diff = s[:, None] - s[None, :]
+            near = np.abs(diff) <= DEGENERACY_TOL
+            safe_diff = np.where(near, 1.0, diff)
+            core = np.where(near, 1.0 / (s[:, None] * _LN2),
+                            (logs[:, None] - logs[None, :]) / safe_diff)
+            grad_t = -rho_t * core
+            return v @ grad_t @ v.conj().T
+        if self.kind is DistanceKind.TRACE:
+            w, v = np.linalg.eigh(sigma - self.rho)
+            return 0.5 * (v * np.sign(w)) @ v.conj().T
+        m = self.sqrt_rho @ sigma @ self.sqrt_rho
+        w, v = np.linalg.eigh(m)
+        inv_sqrt = np.where(w > BURES_NULL_TOL,
+                            1.0 / np.sqrt(np.clip(w, BURES_NULL_TOL, None)), 0.0)
+        mid = (v * inv_sqrt) @ v.conj().T
+        return -self.sqrt_rho @ mid @ self.sqrt_rho
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Quantum relative entropy S(rho||sigma) in bits, +inf off support."""
     _check_same_dims(rho, sigma)
-    cross = _log_expectation(rho.mat, sigma.mat)
-    if cross == -np.inf:
-        return np.inf
-    return -vn_entropy(rho) - cross
+    return Objective(rho.mat, DistanceKind.RELATIVE_ENTROPY).value(sigma.mat)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """0.5 * tr|a - b|, in [0, 1]."""
     _check_same_dims(a, b)
-    w = np.linalg.eigvalsh(a.mat - b.mat)
-    return float(0.5 * np.sum(np.abs(w)))
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return Objective(a.mat, DistanceKind.TRACE).value(b.mat)
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(a) b sqrt(a)))^2, clipped to [0, 1]."""
     _check_same_dims(a, b)
-    ra = _psd_sqrt(a.mat)
-    w = np.linalg.eigvalsh(ra @ b.mat @ ra)
-    # the square root amplifies eigenvalue dust, so cut well above it
-    w[w < 1e-13] = 0.0
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    return Objective(a.mat, DistanceKind.BURES).fidelity(b.mat)
 
 
 def bures_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -103,15 +163,11 @@ def bures_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     This is the squared-free form used throughout the package; its triangle
     inequality is checked empirically, not assumed (see the audit module).
     """
-    return 2.0 * (1.0 - np.sqrt(fidelity(a, b)))
+    _check_same_dims(a, b)
+    return Objective(a.mat, DistanceKind.BURES).value(b.mat)
 
 
 def distance(kind: DistanceKind, a: DensityMatrix, b: DensityMatrix) -> float:
     """Dispatch D(a, b) for the chosen kind; a is the state, b the reference."""
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        return relative_entropy(a, b)
-    if kind is DistanceKind.TRACE:
-        return trace_distance(a, b)
-    if kind is DistanceKind.BURES:
-        return bures_distance(a, b)
-    raise InputError(f"unknown distance kind {kind!r}")
+    _check_same_dims(a, b)
+    return Objective(a.mat, kind).value(b.mat)

@@ -113,13 +113,6 @@ def param_to_unitary(params: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def param_to_simplex(params: np.ndarray) -> np.ndarray:
-    """Softmax map onto the open probability simplex."""
-    p = np.asarray(params, dtype=float).reshape(-1)
-    e = np.exp(p - np.max(p))
-    return e / np.sum(e)
-
-
 def param_to_unit_vector(params: np.ndarray, d: int) -> np.ndarray:
     """Pairs (re, im) normalized to a complex unit vector of length d."""
     p = np.asarray(params, dtype=float).reshape(-1)

@@ -13,7 +13,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,8 +80,9 @@ class Bipartition:
         object.__setattr__(self, "right", tuple(self.right))
         if not self.left or not self.right:
             raise InputError("both sides of a bipartition must be nonempty")
-        if set(self.left) & set(self.right):
-            raise InputError("bipartition sides must be disjoint")
+        labels = self.left + self.right
+        if len(set(labels)) != len(labels):
+            raise InputError(f"bipartition repeats a label: {labels}")
 
     def validate_against(self, dims: SubsystemDims) -> None:
         if set(self.left) | set(self.right) != set(dims.labels):
@@ -122,46 +123,50 @@ class DensityMatrix:
 
     Construction checks Hermiticity and trace to 1e-9.  Eigenvalues in
     [-1e-9, 0) are numerical dust: they are clipped to zero and the state
-    renormalized.  Anything more negative is a hard error.  Pass
-    ``validate=False`` only when validity is guaranteed by construction
-    (internal fast paths).
+    renormalized.  Anything more negative is a hard error.  ``trusted``
+    is the one unchecked path, for matrices valid by construction.
     """
 
     mat: np.ndarray
     dims: SubsystemDims
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.mat)
+        self._set_matrix(self.mat)
+        m = self.mat
+        herm = np.max(np.abs(m - m.conj().T))
+        if herm > HERMITICITY_TOL:
+            raise InputError(f"matrix is not Hermitian: residual {herm:.3e}")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InputError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
+        w, v = np.linalg.eigh(m)
+        if w[0] < -EIGENVALUE_DUST:
+            raise InputError(
+                f"matrix has eigenvalue {w[0]:.3e} below -{EIGENVALUE_DUST}"
+            )
+        if w[0] < 0.0:
+            w = np.clip(w, 0.0, None)
+            m = (v * w) @ v.conj().T
+            self._set_matrix(m / np.trace(m).real)
+
+    def _set_matrix(self, mat) -> None:
+        m = _as_complex_matrix(mat)
         if m.shape[0] != self.dims.total_dim:
             raise InputError(
                 f"matrix dimension {m.shape[0]} != product of dims {self.dims.total_dim}"
             )
-        if self.validate:
-            herm = np.max(np.abs(m - m.conj().T))
-            if herm > HERMITICITY_TOL:
-                raise InputError(f"matrix is not Hermitian: residual {herm:.3e}")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise InputError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
-            w, v = np.linalg.eigh(m)
-            if w[0] < -EIGENVALUE_DUST:
-                raise InputError(
-                    f"matrix has eigenvalue {w[0]:.3e} below -{EIGENVALUE_DUST}"
-                )
-            if w[0] < 0.0:
-                w = np.clip(w, 0.0, None)
-                m = (v * w) @ v.conj().T
-                m /= np.trace(m).real
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "validate", True)
 
     @classmethod
     def trusted(cls, mat: np.ndarray, dims: SubsystemDims) -> "DensityMatrix":
-        """Wrap a matrix that is valid by construction, skipping the eigencheck."""
-        return cls(mat, dims, validate=False)
+        """Wrap a matrix that is valid by construction: only its shape is
+        checked, not Hermiticity, trace or eigenvalues."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", dims)
+        rho._set_matrix(mat)
+        return rho
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .measures import DistanceKind, distance, entropy_of_spectrum, vn_entropy
+from .measures import DistanceKind, Objective, distance, entropy_of_spectrum
 from .qmat import DensityMatrix, InputError, SubsystemDims, embed_local
 
 _PROJECTOR_TOL = 1e-10
@@ -118,14 +118,7 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
     before = int(np.prod(dims[:pos])) if pos else 1
     after = int(np.prod(dims[pos + 1:])) if pos + 1 < len(dims) else 1
 
-    s_rho = vn_entropy(rho)
-    sqrt_rho = None
-    if kind is DistanceKind.BURES:
-        w, v = np.linalg.eigh(rho.mat)
-        sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-    # Plain embedded-projector sums are microseconds at dim <= 64; no need
-    # for tensor-contraction tricks here.
+    objective = Objective(rho.mat, kind)
     eye_b = np.eye(before)
     eye_a = np.eye(after)
 
@@ -135,13 +128,10 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
                     for i in range(d)]
         m = _dephase(rho.mat, embedded)
         if kind is DistanceKind.RELATIVE_ENTROPY:
-            return entropy_of_spectrum(np.linalg.eigvalsh(m)) - s_rho
-        if kind is DistanceKind.TRACE:
-            return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.mat - m))))
-        w = np.linalg.eigvalsh(sqrt_rho @ m @ sqrt_rho)
-        w[w < 1e-13] = 0.0
-        f = np.sum(np.sqrt(w)) ** 2
-        return float(2.0 * (1.0 - np.sqrt(min(max(f, 0.0), 1.0))))
+            # S(m) - S(rho) by the identity in deficit_for_basis: one
+            # eigvalsh instead of the full functional's eigh.
+            return entropy_of_spectrum(np.linalg.eigvalsh(m)) + objective.neg_entropy
+        return objective.value(m)
 
     res = optim.minimize(value, d * d, cfg, extra_starts=[np.zeros(d * d)])
     best_basis = MeasurementBasis.from_unitary(

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import logm, sqrtm
 
-from qcost.measures import (DistanceKind, bures_distance, fidelity, purity,
-                            relative_entropy, trace_distance, vn_entropy)
+from qcost.measures import (DistanceKind, Objective, bures_distance, fidelity,
+                            purity, relative_entropy, trace_distance, vn_entropy)
 from qcost.qmat import DensityMatrix, InputError, SubsystemDims, vector_state
 from qcost.quantumness import computational_basis, measure_channel
 from qcost.statezoo import eta_state, ginibre_mixed, haar_unitary
 
-from conftest import bell_dm, random_unit_vector
+from conftest import bell_dm, random_hermitian, random_unit_vector
 
 QUBIT = SubsystemDims(("A",), (2,))
 TWOQ = SubsystemDims(("A", "B"), (2, 2))
@@ -100,6 +101,45 @@ class TestBures:
         b = random_state(TWOQ, 16)
         assert bures_distance(a, b) == \
             pytest.approx(2 * (1 - np.sqrt(fidelity(a, b))), abs=1e-12)
+
+
+THREEQ = SubsystemDims(("A", "B", "C"), (2, 2, 2))
+
+
+def reference_distance(kind, rho, sigma):
+    """The three functionals from scipy's logm and sqrtm, sharing no code
+    with Objective."""
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        return np.trace(rho @ (logm(rho) - logm(sigma))).real / np.log(2.0)
+    if kind is DistanceKind.TRACE:
+        return 0.5 * np.sum(np.linalg.svd(rho - sigma, compute_uv=False))
+    root = sqrtm(rho)
+    f = np.trace(sqrtm(root @ sigma @ root)).real ** 2
+    return 2.0 * (1.0 - np.sqrt(f))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_value_matches_reference_formulas(self, kind):
+        for i in range(5):
+            rho = ginibre_mixed(THREEQ, 8, 30, 2 * i).mat
+            sigma = ginibre_mixed(THREEQ, 8, 30, 2 * i + 1).mat
+            assert Objective(rho, kind).value(sigma) == pytest.approx(
+                reference_distance(kind, rho, sigma), abs=1e-10)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_gradient_matches_central_differences(self, kind):
+        eps = 1e-7
+        for i in range(5):
+            rho = ginibre_mixed(THREEQ, 8, 31, 2 * i).mat
+            sigma = ginibre_mixed(THREEQ, 8, 31, 2 * i + 1).mat
+            h = random_hermitian(8, 310 + i)
+            h -= np.trace(h).real / 8 * np.eye(8)  # stay on unit trace
+            objective = Objective(rho, kind)
+            numeric = (objective.value(sigma + eps * h)
+                       - objective.value(sigma - eps * h)) / (2 * eps)
+            analytic = np.vdot(objective.gradient(sigma), h).real
+            assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
 class TestPurity:

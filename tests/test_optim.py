@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.optim import (OptimizerConfig, minimize, param_to_simplex,
-                         param_to_unit_vector, param_to_unitary)
+from qcost.optim import (OptimizerConfig, minimize, param_to_unit_vector,
+                         param_to_unitary)
 from qcost.qmat import InputError
 
 CFG = OptimizerConfig(seed=3)
@@ -105,22 +105,6 @@ class TestParamToUnitary:
     def test_wrong_length(self):
         with pytest.raises(InputError):
             param_to_unitary(np.zeros(3), 2)
-
-
-class TestParamToSimplex:
-    def test_zero_gives_uniform(self):
-        assert_allclose(param_to_simplex(np.zeros(5)), np.full(5, 0.2))
-
-    def test_large_coordinate_dominates(self):
-        p = param_to_simplex(np.array([50.0, 0.0, 0.0]))
-        assert p[0] > 1.0 - 1e-12
-
-    def test_normalization(self):
-        gen = np.random.default_rng(9)
-        for _ in range(10):
-            p = param_to_simplex(gen.normal(size=8, scale=5))
-            assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
-            assert np.all(p > 0)
 
 
 class TestParamToUnitVector:

@@ -275,6 +275,14 @@ class TestBipartition:
         with pytest.raises(InputError):
             Bipartition(("A",), ("A",))
 
+    def test_label_repeated_within_a_side(self):
+        # A repeated label made partial_transpose swap its axes twice,
+        # undoing the transpose; "AA|B" then looked PPT on a Bell state.
+        with pytest.raises(InputError):
+            Bipartition(("A", "A"), ("B",))
+        with pytest.raises(InputError):
+            Bipartition.parse("AA|B", ("A", "B"))
+
 
 class TestDimensionCap:
     def test_default_cap_is_64(self):
