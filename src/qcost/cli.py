@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .entanglement import (coherent_info_lower, measured_separable_upper,
                            ppt_min_eigenvalue, ree_upper)
-from .inequality import run_campaign
+from .inequality import CAMPAIGN_CHECKS, run_campaign
 from .measures import DistanceKind, purity, vn_entropy
 from .optim import OptimizerConfig
 from .protocol import load_script, run_protocol
@@ -289,7 +289,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--xtol", type=float, default=1e-8)
     p.add_argument("--ftol", type=float, default=1e-10)
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("campaign", help="randomized inequality audit campaign")
-    p.add_argument("--check", required=True,
-                   choices=("collinearity", "dpi", "main", "pure-chain",
-                            "distance-chain", "protocol"))
+    p.add_argument("--check", required=True, choices=CAMPAIGN_CHECKS)
     p.add_argument("--ensemble", choices=("ginibre", "haar-pure"), default="ginibre")
     p.add_argument("--dims", default="2,2,2")
     p.add_argument("--samples", type=int, default=100)
@@ -337,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsystem", default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: QCOST_THREADS or machine)")
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_campaign)
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_gen)
 
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -276,13 +277,6 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
     raise InputError(f"unknown campaign check {check!r}; one of {CAMPAIGN_CHECKS}")
 
 
-def _worker(args) -> AuditReport:
-    check, dims_labels, dims_dims, seed, index, kind_value, subsystem, cfg = args
-    dims = SubsystemDims(dims_labels, dims_dims)
-    return campaign_sample(check, dims, seed, index,
-                           DistanceKind(kind_value), subsystem, cfg)
-
-
 def campaign_workers() -> int:
     env = os.environ.get("QCOST_THREADS", "")
     if env.strip():
@@ -305,14 +299,13 @@ def run_campaign(check: str, dims: SubsystemDims, samples: int, seed: int,
     cfg = cfg or OptimizerConfig(seed=seed)
     workers = workers if workers is not None else campaign_workers()
     workers = max(1, min(workers, samples))
+    sample = partial(campaign_sample, check, dims, seed,
+                     kind=kind, subsystem=subsystem, cfg=cfg)
     if workers == 1:
-        reports = [campaign_sample(check, dims, seed, i, kind, subsystem, cfg)
-                   for i in range(samples)]
+        reports = list(map(sample, range(samples)))
     else:
-        args = [(check, dims.labels, dims.dims, seed, i, kind.value,
-                 subsystem, cfg) for i in range(samples)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_worker, args))
+            reports = list(pool.map(sample, range(samples)))
     slacks = [r.slack for r in reports]
     summary = {
         "check": check,

@@ -29,7 +29,7 @@ from .entanglement import coherent_info_lower, ree_upper
 from .measures import DistanceKind
 from .optim import OptimizerConfig
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                   matrix_from_json, matrix_to_json, permute_matrix,
+                   local_channel, matrix_from_json, matrix_to_json,
                    state_from_json_dict, state_to_json_dict, vector_state)
 from .quantumness import one_way_deficit
 from .statezoo import haar_unitary
@@ -136,24 +136,8 @@ def apply_local_channel(rho: DensityMatrix, party: str, kraus,
     currently held subsystems, identity elsewhere."""
     step = Step(LOCAL_CHANNEL, party=party, kraus=tuple(kraus))
     held = held_labels(party, owner_of_c)
-    d_held = rho.dims.subset_dim(held)
-    if step.kraus[0].shape[0] != d_held:
-        raise InputError(
-            f"Kraus dimension {step.kraus[0].shape[0]} != dimension {d_held} "
-            f"of {party}'s held subsystems {held}"
-        )
-    others = tuple(l for l in rho.labels if l not in held)
-    order = held + others
-    perm = [rho.dims.index_of(l) for l in order]
-    mat = permute_matrix(rho.mat, rho.dims.dims, perm)
-    d_rest = rho.dim // d_held
-    out = np.zeros_like(mat)
-    for k in step.kraus:
-        kk = np.kron(k, np.eye(d_rest))
-        out += kk @ mat @ kk.conj().T
-    inv = [order.index(l) for l in rho.labels]
-    back = permute_matrix(out, tuple(rho.dims.dims[p] for p in perm), inv)
-    return DensityMatrix.trusted(back, rho.dims)
+    return DensityMatrix.trusted(
+        local_channel(rho.mat, rho.dims, held, step.kraus), rho.dims)
 
 
 def run_protocol(script: ProtocolScript,

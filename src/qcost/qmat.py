@@ -220,6 +220,8 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[str]) -> DensityMatrix:
 def partial_transpose_matrix(mat: np.ndarray, dims: Sequence[int],
                              parts: Sequence[int]) -> np.ndarray:
     """Transpose the given tensor factors of a square matrix."""
+    if len(set(parts)) != len(parts):
+        raise InputError(f"partial transpose repeats a factor: {list(parts)}")
     m = _as_complex_matrix(mat)
     n = len(dims)
     t = m.reshape(tuple(dims) * 2)
@@ -288,6 +290,37 @@ def embed_local(op: np.ndarray, target: str, dims: SubsystemDims) -> np.ndarray:
     before = int(np.prod(dims.dims[:pos])) if pos else 1
     after = int(np.prod(dims.dims[pos + 1:])) if pos + 1 < len(dims.dims) else 1
     return np.kron(np.kron(np.eye(before), op), np.eye(after))
+
+
+def local_channel(mat: np.ndarray, dims: SubsystemDims, held: Sequence[str],
+                  ops) -> np.ndarray:
+    """sum_k K mat K^dag, each K acting on the ``held`` factors (in the
+    given order) and as the identity on every other factor.
+
+    The held factors are permuted to the front, so the matrix splits as
+    (held, rest, held, rest) and each K contracts one held index from the
+    left and one from the right, without building kron(K, I).
+    """
+    held = tuple(held)
+    if not held or len(set(held)) != len(held):
+        raise InputError(f"held labels must be nonempty and distinct, got {held}")
+    order = held + tuple(l for l in dims.labels if l not in held)
+    perm = [dims.index_of(l) for l in order]
+    dh = dims.subset_dim(held)
+    dr = dims.total_dim // dh
+    t = permute_matrix(mat, dims.dims, perm).reshape(dh, dr * dh * dr)
+    out = np.zeros((dh, dr, dh, dr), dtype=complex)
+    for k in ops:
+        k = _as_complex_matrix(k)
+        if k.shape[0] != dh:
+            raise InputError(
+                f"operator dimension {k.shape[0]} != dimension {dh} of {held}"
+            )
+        x = (k @ t).reshape(dh, dr, dh, dr)
+        out += np.swapaxes(np.swapaxes(x, 2, 3) @ k.conj().T, 2, 3)
+    inv = [order.index(l) for l in dims.labels]
+    return permute_matrix(out.reshape(dh * dr, dh * dr),
+                          [dims.dims[p] for p in perm], inv)
 
 
 # ----------------------------------------------------------------------

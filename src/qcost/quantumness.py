@@ -15,7 +15,7 @@ import numpy as np
 
 from . import optim
 from .measures import DistanceKind, Objective, distance, entropy_of_spectrum
-from .qmat import DensityMatrix, InputError, SubsystemDims, embed_local
+from .qmat import DensityMatrix, InputError, local_channel
 
 _PROJECTOR_TOL = 1e-10
 
@@ -69,26 +69,11 @@ def computational_basis(subsystem: str, d: int) -> MeasurementBasis:
                                              for i in range(d)))
 
 
-def _embedded_projectors(basis: MeasurementBasis, dims: SubsystemDims):
-    if basis.local_dim != dims.dim_of(basis.subsystem):
-        raise InputError(
-            f"basis on {basis.subsystem!r} has dimension {basis.local_dim}, "
-            f"state has {dims.dim_of(basis.subsystem)}"
-        )
-    return [embed_local(p, basis.subsystem, dims) for p in basis.projectors]
-
-
-def _dephase(mat: np.ndarray, embedded) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for p in embedded:
-        out += p @ mat @ p
-    return out
-
-
 def measure_channel(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
-    """sum_i Pi_i rho Pi_i for the embedded local projectors."""
-    embedded = _embedded_projectors(basis, rho.dims)
-    return DensityMatrix.trusted(_dephase(rho.mat, embedded), rho.dims)
+    """sum_i Pi_i rho Pi_i, the projectors acting on the basis's subsystem."""
+    return DensityMatrix.trusted(
+        local_channel(rho.mat, rho.dims, (basis.subsystem,), basis.projectors),
+        rho.dims)
 
 
 def deficit_for_basis(rho: DensityMatrix, basis: MeasurementBasis,
@@ -113,20 +98,12 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
     """
     cfg = cfg or optim.OptimizerConfig()
     d = rho.dims.dim_of(subsystem)
-    pos = rho.dims.index_of(subsystem)
-    dims = rho.dims.dims
-    before = int(np.prod(dims[:pos])) if pos else 1
-    after = int(np.prod(dims[pos + 1:])) if pos + 1 < len(dims) else 1
-
     objective = Objective(rho.mat, kind)
-    eye_b = np.eye(before)
-    eye_a = np.eye(after)
 
     def value(params: np.ndarray) -> float:
         u = optim.param_to_unitary(params, d)
-        embedded = [np.kron(np.kron(eye_b, np.outer(u[:, i], u[:, i].conj())), eye_a)
-                    for i in range(d)]
-        m = _dephase(rho.mat, embedded)
+        projectors = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
+        m = local_channel(rho.mat, rho.dims, (subsystem,), projectors)
         if kind is DistanceKind.RELATIVE_ENTROPY:
             # S(m) - S(rho) by the identity in deficit_for_basis: one
             # eigvalsh instead of the full functional's eigh.

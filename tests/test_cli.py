@@ -72,6 +72,18 @@ class TestGenAndMeasure:
         code, _ = run_cli(capsys, "measure", "/does/not/exist.json")
         assert code == 2
 
+    def test_options_only_where_read(self, tmp_path, capsys):
+        path = str(tmp_path / "ghz.json")
+        run_cli(capsys, "gen", "--family", "ghz", "--out", path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["measure", path, "--format", "tsv"])
+        assert exc.value.code == 2
+        # gen writes to --out and runs no optimizer
+        for extra in (["--output", path], ["--restarts", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["gen", "--family", "ghz", "--out", path, *extra])
+            assert exc.value.code == 2
+
 
 class TestDeficitCommand:
     def test_eta_computational(self, tmp_path, capsys):

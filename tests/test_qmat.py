@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                        eig_hermitian, embed_local, load_state, partial_trace,
+                        eig_hermitian, embed_local, load_state, local_channel,
+                        partial_trace,
                         partial_transpose, partial_transpose_matrix,
                         permute_subsystems, save_state, state_from_json_dict,
                         state_to_json_dict, tensor_product)
@@ -129,6 +130,13 @@ class TestPartialTranspose:
         assert np.trace(pt).real == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(pt - pt.conj().T)) <= 1e-9
 
+    def test_repeated_factor_rejected(self):
+        # transposing a factor twice would undo it: Bell would look PPT
+        with pytest.raises(InputError):
+            partial_transpose(bell_dm(), ["A", "A"])
+        with pytest.raises(InputError):
+            partial_transpose_matrix(bell_dm().mat, (2, 2), [0, 0])
+
 
 class TestPermuteSubsystems:
     def test_identity_permutation(self):
@@ -226,6 +234,84 @@ class TestEmbedLocal:
         dims = SubsystemDims(("A", "B"), (2, 3))
         with pytest.raises(InputError):
             embed_local(np.eye(2), "B", dims)
+
+
+def kron_reference(op, dims, held):
+    """op on the held factors, built with np.kron and a basis permutation."""
+    labels, sizes = dims.labels, dims.dims
+    rest = [l for l in labels if l not in held]
+    d_rest = int(np.prod([dims.dim_of(l) for l in rest]))
+    full = np.kron(op, np.eye(d_rest))
+    order = list(held) + rest
+    # permutation matrix: |labels order> -> |held + rest order>
+    n = dims.total_dim
+    perm = np.zeros((n, n))
+    for i, idx in enumerate(np.ndindex(*sizes)):
+        digits = dict(zip(labels, idx))
+        j = np.ravel_multi_index([digits[l] for l in order],
+                                 [dims.dim_of(l) for l in order])
+        perm[j, i] = 1.0
+    return perm.T @ full @ perm
+
+
+class TestLocalChannel:
+    DIMS = SubsystemDims(("A", "B", "C"), (2, 3, 4))
+
+    def rho(self, seed):
+        gen = np.random.default_rng(seed)
+        g = gen.normal(size=(24, 24)) + 1j * gen.normal(size=(24, 24))
+        mat = g @ g.conj().T
+        return mat / np.trace(mat).real
+
+    def check(self, mat, held, ops):
+        expected = sum(kron_reference(k, self.DIMS, held) @ mat
+                       @ kron_reference(k, self.DIMS, held).conj().T for k in ops)
+        assert_allclose(local_channel(mat, self.DIMS, held, ops), expected,
+                        atol=1e-13)
+
+    @pytest.mark.parametrize("held", [("A",), ("B",), ("C",), ("A", "C"), ("C", "A")])
+    def test_random_operator_matches_kron(self, held):
+        gen = np.random.default_rng(len(held) + ord(held[0]))
+        d = self.DIMS.subset_dim(held)
+        k = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        self.check(self.rho(1), held, [k])
+
+    def test_held_order_matters(self):
+        # a non-symmetric operator on (A, C) differs from the same matrix on (C, A)
+        gen = np.random.default_rng(2)
+        k = gen.normal(size=(8, 8))
+        mat = self.rho(2)
+        assert not np.allclose(local_channel(mat, self.DIMS, ("A", "C"), [k]),
+                               local_channel(mat, self.DIMS, ("C", "A"), [k]))
+
+    def test_amplitude_damping_is_not_unital(self):
+        g = 0.3
+        kraus = [np.array([[1, 0], [0, np.sqrt(1 - g)]]),
+                 np.array([[0, np.sqrt(g)], [0, 0]])]
+        self.check(self.rho(3), ("A",), kraus)
+        ident = np.eye(24) / 24
+        out = local_channel(ident, self.DIMS, ("A",), kraus)
+        assert not np.allclose(out, ident)
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_projective_measurement(self):
+        u = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))[0]
+        projs = [np.outer(u[:, i], u[:, i]) for i in range(4)]
+        mat = self.rho(4)
+        self.check(mat, ("C",), projs)
+        once = local_channel(mat, self.DIMS, ("C",), projs)
+        assert_allclose(local_channel(once, self.DIMS, ("C",), projs), once,
+                        atol=1e-13)
+
+    def test_operator_size_checked(self):
+        with pytest.raises(InputError):
+            local_channel(self.rho(5), self.DIMS, ("B",), [np.eye(2)])
+
+    def test_repeated_or_unknown_label(self):
+        with pytest.raises(InputError):
+            local_channel(self.rho(5), self.DIMS, ("A", "A"), [np.eye(4)])
+        with pytest.raises(InputError):
+            local_channel(self.rho(5), self.DIMS, ("Z",), [np.eye(2)])
 
 
 class TestDensityMatrixValidation:

@@ -96,6 +96,10 @@ class TestMeasureChannel:
         with pytest.raises(InputError):
             measure_channel(ghz_state(), computational_basis("Z", 2))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            measure_channel(ghz_state(), computational_basis("C", 3))
+
 
 class TestDeficitForBasis:
     def test_eta_computational_is_one_third(self):
