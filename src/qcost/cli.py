@@ -58,15 +58,14 @@ def _digest(path: str) -> str:
 
 
 def _config_echo(args) -> dict:
-    return {
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "max_evals": args.max_evals,
-        "xtol": args.xtol,
-        "ftol": args.ftol,
-        "output": getattr(args, "output", None) or "stdout",
-        "format": getattr(args, "format", "json"),
-    }
+    """The options the command takes; optimizer settings only where a
+    search reads them."""
+    echo = {key: getattr(args, key)
+            for key in ("seed", "restarts", "max_evals", "xtol", "ftol")
+            if hasattr(args, key)}
+    echo["output"] = getattr(args, "output", None) or "stdout"
+    echo["format"] = getattr(args, "format", "json")
+    return echo
 
 
 def _header(args, command: str, inputs=()) -> dict:
@@ -282,13 +281,17 @@ def cmd_gen(args) -> int:
 # Parser.
 # ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--output", default=None, help="write the report here instead of stdout")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_report(p)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-evals", dest="max_evals", type=int, default=20000)
     p.add_argument("--xtol", type=float, default=1e-8)
     p.add_argument("--ftol", type=float, default=1e-10)
-    p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="entropy or purity of a state file")
     p.add_argument("state")
     p.add_argument("--what", choices=("entropy", "purity"), default="entropy")
-    _add_common(p)
+    _add_report(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("deficit", help="one-way information deficit")

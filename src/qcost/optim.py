@@ -113,6 +113,19 @@ def param_to_unitary(params: np.ndarray, d: int) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
+def bloch_unitary(params: np.ndarray) -> np.ndarray:
+    """Qubit unitary from Bloch angles (theta, phi): its first column is the
+    Bloch vector (sin theta cos phi, sin theta sin phi, cos theta), its
+    second the antipode.  (0, 0) gives the identity."""
+    p = np.asarray(params, dtype=float).reshape(-1)
+    if p.shape[0] != 2:
+        raise InputError(f"need 2 Bloch angles, got {p.shape[0]}")
+    theta, phi = p
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    e = np.exp(1j * phi)
+    return np.array([[c, -s * e.conjugate()], [s * e, c]])
+
+
 def param_to_unit_vector(params: np.ndarray, d: int) -> np.ndarray:
     """Pairs (re, im) normalized to a complex unit vector of length d."""
     p = np.asarray(params, dtype=float).reshape(-1)

@@ -117,7 +117,7 @@ def _as_complex_matrix(mat) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated Hermitian, unit-trace, positive-semidefinite operator.
 
@@ -125,6 +125,9 @@ class DensityMatrix:
     [-1e-9, 0) are numerical dust: they are clipped to zero and the state
     renormalized.  Anything more negative is a hard error.  ``trusted``
     is the one unchecked path, for matrices valid by construction.
+
+    Two states are equal when their dims and matrices are exactly equal.
+    States are unhashable, like the numpy arrays they hold.
     """
 
     mat: np.ndarray
@@ -158,6 +161,11 @@ class DensityMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.dims == other.dims and bool(np.array_equal(self.mat, other.mat))
 
     @classmethod
     def trusted(cls, mat: np.ndarray, dims: SubsystemDims) -> "DensityMatrix":

@@ -75,9 +75,11 @@ class TestGenAndMeasure:
     def test_options_only_where_read(self, tmp_path, capsys):
         path = str(tmp_path / "ghz.json")
         run_cli(capsys, "gen", "--family", "ghz", "--out", path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["measure", path, "--format", "tsv"])
-        assert exc.value.code == 2
+        # measure runs no optimizer
+        for extra in (["--format", "tsv"], ["--restarts", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["measure", path, *extra])
+            assert exc.value.code == 2
         # gen writes to --out and runs no optimizer
         for extra in (["--output", path], ["--restarts", "3"]):
             with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.entanglement import (SeparableEnsemble, coherent_info_lower,
-                                ensemble_to_state, measured_separable_upper,
-                                ppt_min_eigenvalue, pure_state_entanglement,
-                                ree_upper)
+from qcost.entanglement import (SeparableEnsemble, _alternating_oracle,
+                                coherent_info_lower, ensemble_to_state,
+                                measured_separable_upper, ppt_min_eigenvalue,
+                                pure_state_entanglement, ree_upper)
 from qcost.measures import DistanceKind, relative_entropy, vn_entropy
 from qcost.optim import OptimizerConfig
 from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
@@ -14,7 +14,7 @@ from qcost.quantumness import computational_basis, measure_channel
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_separable_ensemble,
                             eta_state, ghz_state, ginibre_mixed, haar_pure)
 
-from conftest import bell_dm, random_unit_vector
+from conftest import bell_dm, random_hermitian, random_unit_vector
 
 TWOQ = SubsystemDims(("A", "B"), (2, 2))
 CUT_AB = Bipartition(("A",), ("B",))
@@ -247,6 +247,46 @@ class TestInvariants:
             exact = pure_state_entanglement(psi, CUT_A_BC, TRIPARTITE_QUBITS)
             value, _ = ree_upper(rho, CUT_A_BC, cfg=CFG)
             assert exact - 1e-9 <= value <= exact + 2e-3
+
+
+def per_start_oracle(grad, dx, dy, b_starts):
+    """Reference for the stacked oracle: one start at a time, the first
+    start reaching the minimum wins."""
+    gt = grad.reshape(dx, dy, dx, dy)
+    best = (np.inf, None, None)
+    for b0 in b_starts:
+        b = b0 / np.linalg.norm(b0)
+        val_prev = np.inf
+        for _ in range(25):
+            mb = np.einsum("j,ijkl,l->ik", b.conj(), gt, b)
+            _, va = np.linalg.eigh(0.5 * (mb + mb.conj().T))
+            a = va[:, 0]
+            ma = np.einsum("i,ijkl,k->jl", a.conj(), gt, a)
+            wb, vb = np.linalg.eigh(0.5 * (ma + ma.conj().T))
+            b = vb[:, 0]
+            val = float(wb[0].real)
+            if abs(val_prev - val) < 1e-13:
+                break
+            val_prev = val
+        if val < best[0]:
+            best = (val, a, b)
+    return best
+
+
+class TestAlternatingOracle:
+    @pytest.mark.parametrize("dx,dy", [(4, 2), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("n_starts", [1, 5])
+    def test_matches_per_start_loop(self, dx, dy, n_starts):
+        for trial in range(4):
+            seed = 1000 * dx + 100 * dy + 10 * n_starts + trial
+            grad = random_hermitian(dx * dy, seed)
+            starts = [random_unit_vector(dy, seed + 7 * (j + 1)) * (j + 1)
+                      for j in range(n_starts)]
+            want = per_start_oracle(grad, dx, dy, starts)
+            got = _alternating_oracle(grad, dx, dy, starts)
+            assert got[0] == want[0]
+            for v, w in zip(got[1:], want[1:]):
+                assert abs(np.vdot(w, v)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestQuditSupport:

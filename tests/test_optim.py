@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.optim import (OptimizerConfig, minimize, param_to_unit_vector,
-                         param_to_unitary)
+from qcost.optim import (OptimizerConfig, bloch_unitary, minimize,
+                         param_to_unit_vector, param_to_unitary)
 from qcost.qmat import InputError
 
 CFG = OptimizerConfig(seed=3)
@@ -105,6 +105,28 @@ class TestParamToUnitary:
     def test_wrong_length(self):
         with pytest.raises(InputError):
             param_to_unitary(np.zeros(3), 2)
+
+
+class TestBlochUnitary:
+    def test_zero_gives_identity(self):
+        assert_allclose(bloch_unitary(np.zeros(2)), np.eye(2), atol=1e-15)
+
+    def test_columns_are_antipodal_bloch_vectors(self):
+        sigmas = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.diag([1.0, -1.0]))
+        gen = np.random.default_rng(11)
+        for theta, phi in gen.normal(scale=2.0, size=(10, 2)):
+            u = bloch_unitary(np.array([theta, phi]))
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-14
+            axis = np.array([np.sin(theta) * np.cos(phi),
+                             np.sin(theta) * np.sin(phi), np.cos(theta)])
+            for col, sign in ((u[:, 0], 1.0), (u[:, 1], -1.0)):
+                bloch = [np.vdot(col, s @ col).real for s in sigmas]
+                assert_allclose(bloch, sign * axis, atol=1e-14)
+
+    def test_wrong_length(self):
+        with pytest.raises(InputError):
+            bloch_unitary(np.zeros(3))
 
 
 class TestParamToUnitVector:

@@ -343,6 +343,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(InputError):
             dm(np.eye(4) / 4, ("A", "B"), (2, 3))
 
+    def test_equality_is_a_plain_bool(self):
+        assert (bell_dm() == bell_dm()) is True
+        mixed = np.eye(4) / 4
+        assert (dm(mixed, ("A", "B"), (2, 2)) != bell_dm()) is True
+        # same matrix, different labels or factor split
+        assert dm(mixed, ("A", "C"), (2, 2)) != dm(mixed, ("A", "B"), (2, 2))
+        assert dm(mixed, ("A",), (4,)) != dm(mixed, ("A", "B"), (2, 2))
+        with pytest.raises(TypeError):
+            hash(bell_dm())
+
 
 class TestBipartition:
     def test_parse(self):

@@ -6,7 +6,8 @@ from qcost.measures import DistanceKind, relative_entropy, vn_entropy
 from qcost.optim import OptimizerConfig
 from qcost.qmat import (DensityMatrix, InputError, SubsystemDims, embed_local,
                         tensor_product)
-from qcost.quantumness import (MeasurementBasis, computational_basis,
+from qcost.quantumness import (MeasurementBasis, _basis_unitary,
+                               _deficit_objective, computational_basis,
                                deficit_for_basis, measure_channel,
                                one_way_deficit)
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
@@ -155,6 +156,17 @@ class TestOneWayDeficit:
             value, _ = one_way_deficit(rho, "C", cfg=CFG)
             assert value <= comp + 1e-9
 
+    def test_computational_basis_bounds_exactly(self):
+        # on the rank-deficient eta the search objective and the recomputed
+        # deficit differ by ~1e-11, which once let the result exceed 1/3
+        eta = eta_state()
+        for subsystem, seed in (("A", 3), ("C", 4)):
+            comp = deficit_for_basis(eta, computational_basis(subsystem, 2))
+            value, basis = one_way_deficit(eta, subsystem,
+                                           cfg=OptimizerConfig(seed=seed))
+            assert value <= comp
+            assert value == deficit_for_basis(eta, basis)
+
     def test_nonnegative(self):
         rho = ginibre_mixed(TWOQ, 4, 7, 0)
         value, _ = one_way_deficit(rho, "B", cfg=CFG)
@@ -177,6 +189,32 @@ class TestOneWayDeficit:
             assert value >= -1e-9
             assert value == pytest.approx(deficit_for_basis(rho, basis, kind),
                                           abs=1e-12)
+
+
+class TestDeficitObjective:
+    """The search's objective against deficit_for_basis on the full
+    dephased state."""
+
+    D234 = SubsystemDims(("A", "B", "C"), (2, 3, 4))
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("subsystem", ["A", "B", "C"])
+    def test_equals_deficit_for_basis(self, subsystem, kind):
+        d = self.D234.dim_of(subsystem)
+        for i, rank in enumerate((1, 3, 24)):
+            rho = ginibre_mixed(self.D234, rank, 40, i)
+            objective = _deficit_objective(rho, subsystem, kind)
+            u = haar_unitary(d, 41, i)
+            want = deficit_for_basis(rho, MeasurementBasis.from_unitary(subsystem, u),
+                                     kind)
+            assert objective(u) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_parameters_give_computational_basis(self, d):
+        n_params = 2 if d == 2 else d * d
+        basis = MeasurementBasis.from_unitary("A", _basis_unitary(np.zeros(n_params), d))
+        for p, q in zip(basis.projectors, computational_basis("A", d).projectors):
+            assert_allclose(p, q, atol=1e-15)
 
 
 class TestProofIdentities:
