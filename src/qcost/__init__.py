@@ -22,7 +22,7 @@ from .entanglement import (SeparableEnsemble, coherent_info_lower,
                            ensemble_to_state, measured_separable_upper,
                            ppt_min_eigenvalue, pure_state_entanglement,
                            ree_upper)
-from .statezoo import (EnsembleFamily, EnsembleSpec, eta_state, ghz_state,
-                       ginibre_mixed, haar_pure, haar_unitary)
+from .statezoo import (eta_state, ghz_state, ginibre_mixed, haar_pure,
+                       haar_unitary)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -221,9 +221,6 @@ def cmd_eta(args) -> int:
 def cmd_campaign(args) -> int:
     dims = _parse_dims(args.dims)
     kind = _KINDS[args.kind]
-    if args.ensemble == "haar-pure" and args.check not in ("pure-chain",):
-        raise InputError(f"check {args.check!r} samples its own ensemble; "
-                         "--ensemble haar-pure only applies to pure-chain")
     reports, summary = run_campaign(args.check, dims, args.samples, args.seed,
                                     kind=kind, subsystem=args.subsystem,
                                     cfg=_cfg(args), workers=args.workers)
@@ -281,13 +278,13 @@ def cmd_gen(args) -> int:
 # Parser.
 # ----------------------------------------------------------------------
 
-def _add_report(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42)
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    _add_report(p)
+    p.add_argument("--seed", type=int, default=42)
+    _add_output(p)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-evals", dest="max_evals", type=int, default=20000)
     p.add_argument("--xtol", type=float, default=1e-8)
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="entropy or purity of a state file")
     p.add_argument("state")
     p.add_argument("--what", choices=("entropy", "purity"), default="entropy")
-    _add_report(p)
+    _add_output(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("deficit", help="one-way information deficit")
@@ -330,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="randomized inequality audit campaign")
     p.add_argument("--check", required=True, choices=CAMPAIGN_CHECKS)
-    p.add_argument("--ensemble", choices=("ginibre", "haar-pure"), default="ginibre")
     p.add_argument("--dims", default="2,2,2")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")

@@ -28,6 +28,8 @@ from .quantumness import MeasurementBasis, measure_channel
 
 _MERGE_OVERLAP = 1.0 - 1e-10
 _WEIGHT_FLOOR = 1e-12
+# Frank-Wolfe duality gap at which the conditional-gradient search stops.
+_GAP_TOL = 2e-4
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
               K: int | None = None,
               cfg: optim.OptimizerConfig | None = None,
-              max_iters: int = 200, gap_tol: float = 2e-4,
+              max_iters: int = 200,
               candidates: tuple[SeparableEnsemble, ...] = (),
               ) -> tuple[float, SeparableEnsemble]:
     """Upper bound on the entanglement of rho across the cut.
@@ -266,7 +268,7 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
         ensemble = SeparableEnsemble(cut, np.array([1.0]), (a,), (b,))
     else:
         ensemble = _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
-                                         max_iters, gap_tol, candidates)
+                                         max_iters, candidates)
     best_value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
     for cand in candidates:
         value = distance(kind, rho, ensemble_to_state(cand, rho.dims))
@@ -330,7 +332,7 @@ def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
 
 
 def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
-                          max_iters, gap_tol, candidates=()) -> SeparableEnsemble:
+                          max_iters, candidates=()) -> SeparableEnsemble:
     atoms = _marginal_product_atoms(rc, dx, dy)
     for cand in candidates:
         if len(atoms.weights) + len(cand) > 2 * cap:
@@ -357,7 +359,7 @@ def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
 
         trace_term = float(np.vdot(sigma.reshape(-1), grad.reshape(-1)).real)
         gap = trace_term - e_min
-        if gap <= gap_tol and np.isfinite(f):
+        if gap <= _GAP_TOL and np.isfinite(f):
             break
 
         v = np.kron(a, b)

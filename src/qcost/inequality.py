@@ -36,6 +36,7 @@ TAG_LOWER = "lower_bound"
 TOL_IDENTITY = 1e-8
 TOL_ANALYTIC = 1e-9
 TOL_OPTIMIZER = 1e-6
+_AUDIT_REE_ITERS = 120
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ def dpi_check(rho: DensityMatrix, sigma: DensityMatrix, basis: MeasurementBasis,
 def main_inequality_audit(rho: DensityMatrix,
                           cfg: OptimizerConfig | None = None,
                           state_id: str = "",
-                          tolerance: float = TOL_OPTIMIZER,
-                          ree_iters: int = 120) -> AuditReport:
+                          tolerance: float = TOL_OPTIMIZER) -> AuditReport:
     """Central cost bound on (A, B, C): the deficit of the sent particle
     plus the initial-cut entanglement must cover the final-cut
     entanglement.
@@ -141,7 +141,7 @@ def main_inequality_audit(rho: DensityMatrix,
         raise InputError(f"audit expects labels (A, B, C), got {rho.labels}")
     lower_e_final = coherent_info_lower(rho, Bipartition(("A",), ("B", "C")))
     upper_e_init, _ = ree_upper(rho, Bipartition(("A", "C"), ("B",)),
-                                cfg=cfg, max_iters=ree_iters)
+                                cfg=cfg, max_iters=_AUDIT_REE_ITERS)
     upper_delta, _ = one_way_deficit(rho, "C", DistanceKind.RELATIVE_ENTROPY, cfg)
     slack = upper_delta + upper_e_init - lower_e_final
     return AuditReport(

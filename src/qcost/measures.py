@@ -4,7 +4,7 @@ All entropic quantities use logarithm base 2 (bits).  The three distances
 (relative entropy, trace, Bures) and their gradients have one
 implementation, ``Objective``; every distance in the package, including
 the deficit and entanglement searches, is computed through it.  The one
-exception is the deficit search's relative-entropy kind, which uses the
+exception is the one-way deficit's relative-entropy kind, which uses the
 dephasing identity S(rho') - S(rho) (see quantumness.deficit_for_basis).
 
 Cutoffs, each guarding one numerical hazard:

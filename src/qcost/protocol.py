@@ -41,6 +41,7 @@ SEND_C = "SEND_C"
 LOCAL_CHANNEL = "LOCAL_CHANNEL"
 
 _KRAUS_TOL = 1e-9
+_LEDGER_REE_ITERS = 150
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ class ProtocolScript:
 
 @dataclass
 class LedgerReport:
+    """Bounds and verdict of one protocol run.  The verdict uses only the
+    sound side of each bound, budget_slack = sum(deltas) - (e_final_lower -
+    e_initial_upper); e_initial_lower and e_final_upper are report-only
+    and never enter it."""
+
     e_initial_lower: float
     e_initial_upper: float
     e_final_lower: float
@@ -141,8 +147,7 @@ def apply_local_channel(rho: DensityMatrix, party: str, kraus,
 
 
 def run_protocol(script: ProtocolScript,
-                 cfg: OptimizerConfig | None = None,
-                 ree_iters: int = 150) -> LedgerReport:
+                 cfg: OptimizerConfig | None = None) -> LedgerReport:
     """Execute the script, recording the per-send cost upper bounds and the
     ledger inequality check."""
     cfg = cfg or OptimizerConfig()
@@ -150,7 +155,7 @@ def run_protocol(script: ProtocolScript,
     owner = script.initial_owner_of_c
 
     initial_cut = ownership_cut(owner)
-    e_init_upper, _ = ree_upper(rho, initial_cut, cfg=cfg, max_iters=ree_iters)
+    e_init_upper, _ = ree_upper(rho, initial_cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
     e_init_lower = coherent_info_lower(rho, initial_cut)
 
     deltas: list[float] = []
@@ -169,7 +174,7 @@ def run_protocol(script: ProtocolScript,
             # local channels cannot raise entanglement across the lab cut:
             # the post-step lower bound must stay under the pre-step upper
             cut = ownership_cut(owner)
-            pre_upper, _ = ree_upper(rho, cut, cfg=cfg, max_iters=ree_iters)
+            pre_upper, _ = ree_upper(rho, cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
             rho = apply_local_channel(rho, step.party, step.kraus, owner)
             post_lower = coherent_info_lower(rho, cut)
             slack = float(pre_upper - post_lower)
@@ -185,7 +190,7 @@ def run_protocol(script: ProtocolScript,
 
     final_cut = ownership_cut(owner)
     e_final_lower = coherent_info_lower(rho, final_cut)
-    e_final_upper, _ = ree_upper(rho, final_cut, cfg=cfg, max_iters=ree_iters)
+    e_final_upper, _ = ree_upper(rho, final_cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
 
     budget_slack = float(sum(deltas) - (e_final_lower - e_init_upper))
     return LedgerReport(

@@ -4,10 +4,11 @@ The deficit of a state across X|Y is the minimal distance between the
 state and its dephased image under a rank-1 projective measurement on X,
 minimized over measurement bases.  Only rank-1 (non-degenerate) projective
 measurements are searched; this interpretation choice is documented in the
-package README.  The search parameterizes a qubit basis by its Bloch angles
-and a qudit basis by U = exp(iH); for the relative-entropy kind it reads the
-dephased spectrum off the d diagonal blocks of the state in the measurement
-basis instead of building the dephased state.
+package README.  One kernel evaluates the deficit for both
+``deficit_for_basis`` and the search, which parameterizes a qubit basis by
+its Bloch angles and a qudit basis by U = exp(iH); for the relative-entropy
+kind it reads the dephased spectrum off the d diagonal blocks of the state
+in the measurement basis instead of building the dephased state.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .measures import DistanceKind, Objective, distance, entropy_of_spectrum
+from .measures import DistanceKind, Objective, entropy_of_spectrum
 from .qmat import (DensityMatrix, InputError, local_channel,
                    permute_subsystems)
 
@@ -55,9 +56,7 @@ class MeasurementBasis:
     @classmethod
     def from_unitary(cls, subsystem: str, unitary: np.ndarray) -> "MeasurementBasis":
         """Basis whose projectors are onto the unitary's columns."""
-        u = np.asarray(unitary, dtype=complex)
-        return cls(subsystem, tuple(np.outer(u[:, i], u[:, i].conj())
-                                    for i in range(u.shape[1])))
+        return cls(subsystem, _column_projectors(np.asarray(unitary, dtype=complex)))
 
     @property
     def local_dim(self) -> int:
@@ -87,7 +86,11 @@ def deficit_for_basis(rho: DensityMatrix, basis: MeasurementBasis,
     For the relative-entropy kind this equals S(rho') - S(rho): the
     dephased state satisfies Tr[rho log rho'] = Tr[rho' log rho'].
     """
-    return distance(kind, rho, measure_channel(rho, basis))
+    d = rho.dims.dim_of(basis.subsystem)
+    if basis.local_dim != d:
+        raise InputError(f"basis dimension {basis.local_dim} != dimension {d} "
+                         f"of {basis.subsystem}")
+    return _deficit_objective(rho, basis.subsystem, kind)(np.array(basis.projectors))
 
 
 def one_way_deficit(rho: DensityMatrix, subsystem: str,
@@ -96,31 +99,28 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
                     ) -> tuple[float, MeasurementBasis]:
     """Upper bound on the one-way deficit across subsystem|rest.
 
-    Minimizes deficit_for_basis over rank-1 projective bases: Bloch angles
-    (theta, phi) for a qubit, U = exp(iH) from d*d parameters otherwise.
-    The computational basis (all-zero parameters) is one of the starts, and
-    the returned value, recomputed by deficit_for_basis, never exceeds its
-    deficit.  For the relative-entropy kind each evaluation takes the
-    dephased spectrum from the diagonal blocks of the state in the
-    measurement basis.
+    Minimizes deficit_for_basis's kernel over rank-1 projective bases:
+    Bloch angles (theta, phi) for a qubit, U = exp(iH) from d*d parameters
+    otherwise.  The value is exactly deficit_for_basis of the returned
+    basis.  The computational basis (all-zero parameters, exactly the
+    identity) is one of the starts, and Nelder-Mead never returns more than
+    its start's value, so the result never exceeds that basis's deficit.
     """
     cfg = cfg or optim.OptimizerConfig()
     d = rho.dims.dim_of(subsystem)
     n_params = 2 if d == 2 else d * d
     objective = _deficit_objective(rho, subsystem, kind)
-    res = optim.minimize(lambda params: objective(_basis_unitary(params, d)),
-                         n_params, cfg, extra_starts=[np.zeros(n_params)])
-    best_basis = MeasurementBasis.from_unitary(
+
+    def deficit(params: np.ndarray) -> float:
+        return objective(np.array(_column_projectors(_basis_unitary(params, d))))
+    res = optim.minimize(deficit, n_params, cfg, extra_starts=[np.zeros(n_params)])
+    return res.best_value, MeasurementBasis.from_unitary(
         subsystem, _basis_unitary(res.best_params, d))
-    value = deficit_for_basis(rho, best_basis, kind)
-    # The search value and the recomputed one can differ by ~1e-11 on
-    # rank-deficient states; compare recomputed values so the computational
-    # basis bounds the result exactly.
-    comp = computational_basis(subsystem, d)
-    comp_value = deficit_for_basis(rho, comp, kind)
-    if comp_value < value:
-        return comp_value, comp
-    return value, best_basis
+
+
+def _column_projectors(u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rank-1 projectors onto the columns of u, one np.outer per column."""
+    return tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(u.shape[1]))
 
 
 def _basis_unitary(params: np.ndarray, d: int) -> np.ndarray:
@@ -132,27 +132,25 @@ def _basis_unitary(params: np.ndarray, d: int) -> np.ndarray:
 
 
 def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind):
-    """u -> deficit_for_basis(rho, basis of u's columns on subsystem, kind).
+    """P -> D(rho, sum_i P_i rho P_i) for a (d, d, d) stack of rank-1
+    projectors P_i on subsystem: the one evaluator of the deficit.
 
     For the relative entropy this is S(rho') - S(rho).  In the measurement
     basis rho' is block-diagonal, so its spectrum is the union of the
-    spectra of the d blocks <u_i| rho |u_i> (contracted on the measured
+    spectra of the d blocks Tr_X[P_i rho] (contracted on the measured
     factor): one einsum and one batched eigvalsh, no dephased matrix.
     """
-    d = rho.dims.dim_of(subsystem)
     objective = Objective(rho.mat, kind)
     if kind is not DistanceKind.RELATIVE_ENTROPY:
-        def value(u: np.ndarray) -> float:
-            projectors = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
-            return objective.value(
-                local_channel(rho.mat, rho.dims, (subsystem,), projectors))
-        return value
+        return lambda projectors: objective.value(
+            local_channel(rho.mat, rho.dims, (subsystem,), projectors))
 
+    d = rho.dims.dim_of(subsystem)
     r = rho.dims.total_dim // d
     rest = tuple(l for l in rho.labels if l != subsystem)
     t = permute_subsystems(rho, rest + (subsystem,)).mat.reshape(r, d, r, d)
 
-    def entropy_gain(u: np.ndarray) -> float:
-        blocks = np.einsum("xi,rxsy,yi->irs", u.conj(), t, u)
+    def entropy_gain(projectors: np.ndarray) -> float:
+        blocks = np.einsum("iyx,rxsy->irs", projectors, t)
         return entropy_of_spectrum(np.linalg.eigvalsh(blocks)) + objective.neg_entropy
     return entropy_gain

@@ -7,45 +7,12 @@ replaying the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from . import rng
 from .qmat import DensityMatrix, InputError, SubsystemDims, vector_state
 
 TRIPARTITE_QUBITS = SubsystemDims(("A", "B", "C"), (2, 2, 2))
-
-
-class EnsembleFamily(Enum):
-    HAAR_PURE = "haar-pure"
-    GINIBRE_MIXED = "ginibre"
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    family: EnsembleFamily
-    dims: SubsystemDims
-    samples: int
-    seed: int
-    ginibre_rank: int | None = None  # None means full rank
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise InputError("samples must be >= 1")
-        rank = self.rank
-        if not 1 <= rank <= self.dims.total_dim:
-            raise InputError(f"ginibre_rank {rank} outside [1, {self.dims.total_dim}]")
-
-    @property
-    def rank(self) -> int:
-        return self.dims.total_dim if self.ginibre_rank is None else self.ginibre_rank
-
-    def state(self, index: int) -> DensityMatrix:
-        if self.family is EnsembleFamily.HAAR_PURE:
-            return vector_state(haar_pure(self.dims, self.seed, index), self.dims)
-        return ginibre_mixed(self.dims, self.rank, self.seed, index)
 
 
 def ghz_vector() -> np.ndarray:

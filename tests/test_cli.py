@@ -75,8 +75,8 @@ class TestGenAndMeasure:
     def test_options_only_where_read(self, tmp_path, capsys):
         path = str(tmp_path / "ghz.json")
         run_cli(capsys, "gen", "--family", "ghz", "--out", path)
-        # measure runs no optimizer
-        for extra in (["--format", "tsv"], ["--restarts", "1"]):
+        # measure runs no optimizer and samples nothing
+        for extra in (["--format", "tsv"], ["--restarts", "1"], ["--seed", "1"]):
             with pytest.raises(SystemExit) as exc:
                 cli.main(["measure", path, *extra])
             assert exc.value.code == 2
@@ -85,6 +85,11 @@ class TestGenAndMeasure:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["gen", "--family", "ghz", "--out", path, *extra])
             assert exc.value.code == 2
+        # every campaign check samples its own states
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["campaign", "--check", "dpi", "--samples", "1",
+                      "--ensemble", "ginibre"])
+        assert exc.value.code == 2
 
 
 class TestDeficitCommand:
@@ -254,7 +259,8 @@ class TestReportHeaders:
     def test_reproducibility_fields(self, tmp_path, capsys):
         path = str(tmp_path / "ghz.json")
         run_cli(capsys, "gen", "--family", "ghz", "--out", path)
-        _, out = run_cli(capsys, "measure", path, "--seed", "123")
+        _, out = run_cli(capsys, "deficit", path, "--basis", "optimize",
+                         "--restarts", "1", "--seed", "123")
         report = parse_json_head(out)
         assert report["tool"] == "qcost"
         assert report["version"]

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.measures import DistanceKind, relative_entropy, vn_entropy
+from qcost.measures import (DistanceKind, distance, relative_entropy,
+                            vn_entropy)
 from qcost.optim import OptimizerConfig
 from qcost.qmat import (DensityMatrix, InputError, SubsystemDims, embed_local,
                         tensor_product)
 from qcost.quantumness import (MeasurementBasis, _basis_unitary,
-                               _deficit_objective, computational_basis,
-                               deficit_for_basis, measure_channel,
-                               one_way_deficit)
+                               computational_basis, deficit_for_basis,
+                               measure_channel, one_way_deficit)
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
                             ginibre_mixed, haar_unitary)
 
@@ -126,6 +126,11 @@ class TestDeficitForBasis:
         value = deficit_for_basis(ghz_state(), computational_basis("C", 2))
         assert value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_dimension_mismatch(self, kind):
+        with pytest.raises(InputError):
+            deficit_for_basis(ghz_state(), computational_basis("C", 3), kind)
+
     def test_matches_entropy_difference(self):
         for i in range(10):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 5, i)
@@ -157,8 +162,9 @@ class TestOneWayDeficit:
             assert value <= comp + 1e-9
 
     def test_computational_basis_bounds_exactly(self):
-        # on the rank-deficient eta the search objective and the recomputed
-        # deficit differ by ~1e-11, which once let the result exceed 1/3
+        # the all-zero start is exactly the computational basis and the search
+        # value is the kernel's value at the returned basis, so both hold with
+        # no tolerance on the rank-deficient eta
         eta = eta_state()
         for subsystem, seed in (("A", 3), ("C", 4)):
             comp = deficit_for_basis(eta, computational_basis(subsystem, 2))
@@ -192,8 +198,8 @@ class TestOneWayDeficit:
 
 
 class TestDeficitObjective:
-    """The search's objective against deficit_for_basis on the full
-    dephased state."""
+    """deficit_for_basis, which runs the search's kernel, against the
+    distance to the fully built dephased state."""
 
     D234 = SubsystemDims(("A", "B", "C"), (2, 3, 4))
 
@@ -203,11 +209,9 @@ class TestDeficitObjective:
         d = self.D234.dim_of(subsystem)
         for i, rank in enumerate((1, 3, 24)):
             rho = ginibre_mixed(self.D234, rank, 40, i)
-            objective = _deficit_objective(rho, subsystem, kind)
-            u = haar_unitary(d, 41, i)
-            want = deficit_for_basis(rho, MeasurementBasis.from_unitary(subsystem, u),
-                                     kind)
-            assert objective(u) == pytest.approx(want, abs=1e-12)
+            basis = haar_basis(subsystem, d, 41, i)
+            want = distance(kind, rho, measure_channel(rho, basis))
+            assert deficit_for_basis(rho, basis, kind) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_parameters_give_computational_basis(self, d):

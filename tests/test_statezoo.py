@@ -6,9 +6,8 @@ from qcost.measures import purity, vn_entropy
 from qcost.qmat import Bipartition, InputError, SubsystemDims, partial_trace
 from qcost.quantumness import computational_basis, measure_channel
 from qcost.entanglement import ppt_min_eigenvalue
-from qcost.statezoo import (TRIPARTITE_QUBITS, EnsembleFamily, EnsembleSpec,
-                            eta_state, ghz_state, ginibre_mixed, haar_pure,
-                            haar_unitary)
+from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
+                            ginibre_mixed, haar_pure, haar_unitary)
 
 
 class TestGhz:
@@ -105,27 +104,12 @@ class TestHaarUnitary:
         assert np.array_equal(haar_unitary(4, 8, 1), haar_unitary(4, 8, 1))
 
 
-class TestEnsembleSpec:
-    def test_states_by_family(self):
-        spec = EnsembleSpec(EnsembleFamily.HAAR_PURE, TRIPARTITE_QUBITS, 3, 9)
-        assert purity(spec.state(0)) == pytest.approx(1.0, abs=1e-9)
-        spec = EnsembleSpec(EnsembleFamily.GINIBRE_MIXED, TRIPARTITE_QUBITS, 3, 9,
-                            ginibre_rank=2)
-        assert purity(spec.state(0)) < 0.999
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            EnsembleSpec(EnsembleFamily.HAAR_PURE, TRIPARTITE_QUBITS, 0, 9)
-        with pytest.raises(InputError):
-            EnsembleSpec(EnsembleFamily.GINIBRE_MIXED, TRIPARTITE_QUBITS, 1, 9,
-                         ginibre_rank=99)
-
-    def test_all_constructors_emit_clean_states(self):
-        from qcost.qmat import DensityMatrix, vector_state
-        states = [ghz_state(), eta_state(),
-                  vector_state(haar_pure(TRIPARTITE_QUBITS, 10, 0),
-                               TRIPARTITE_QUBITS)]
-        states += [ginibre_mixed(TRIPARTITE_QUBITS, 8, 10, i) for i in range(3)]
-        for rho in states:
-            revalidated = DensityMatrix(rho.mat, rho.dims)
-            assert np.max(np.abs(revalidated.mat - rho.mat)) <= 1e-12
+def test_all_constructors_emit_clean_states():
+    from qcost.qmat import DensityMatrix, vector_state
+    states = [ghz_state(), eta_state(),
+              vector_state(haar_pure(TRIPARTITE_QUBITS, 10, 0),
+                           TRIPARTITE_QUBITS)]
+    states += [ginibre_mixed(TRIPARTITE_QUBITS, 8, 10, i) for i in range(3)]
+    for rho in states:
+        revalidated = DensityMatrix(rho.mat, rho.dims)
+        assert np.max(np.abs(revalidated.mat - rho.mat)) <= 1e-12
