@@ -13,9 +13,8 @@ from .measures import (DistanceKind, bures_distance, fidelity, purity,
                        relative_entropy, trace_distance, vn_entropy)
 from .optim import OptimizerConfig, OptResult, minimize
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                   eig_hermitian, embed_local, load_state, partial_trace,
-                   partial_transpose, permute_subsystems, save_state,
-                   tensor_product, vector_state)
+                   embed_local, load_state, partial_trace, partial_transpose,
+                   permute_subsystems, save_state, vector_state)
 from .quantumness import (MeasurementBasis, computational_basis,
                           deficit_for_basis, measure_channel, one_way_deficit)
 from .entanglement import (SeparableEnsemble, coherent_info_lower,

@@ -152,7 +152,7 @@ def cmd_ree(args) -> int:
     rho = load_state(args.state)
     cut = Bipartition.parse(args.cut, rho.labels)
     kind = _KINDS[args.kind]
-    value, ensemble = ree_upper(rho, cut, kind, K=args.terms, cfg=_cfg(args))
+    value, ensemble = ree_upper(rho, cut, kind, cfg=_cfg(args))
     report = _header(args, "ree", [args.state])
     report.update({
         "cut": str(cut),
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ree", help="relative entropy of entanglement upper bound")
     p.add_argument("state")
     p.add_argument("--cut", required=True, help='bipartition such as "A|BC"')
-    p.add_argument("--terms", type=int, default=None, help="ensemble size cap")
     p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")
     _add_common(p)
     p.set_defaults(func=cmd_ree)

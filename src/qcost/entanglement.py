@@ -231,80 +231,27 @@ def _line_search(objective: Objective, sigma: np.ndarray,
     return gamma, f_new
 
 
-def _default_terms(dx: int, dy: int) -> int:
-    return (dx * dy) ** 2
-
-
 def ree_upper(rho: DensityMatrix, cut: Bipartition,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
-              K: int | None = None,
               cfg: optim.OptimizerConfig | None = None,
-              max_iters: int = 200,
-              candidates: tuple[SeparableEnsemble, ...] = (),
-              ) -> tuple[float, SeparableEnsemble]:
+              max_iters: int = 200) -> tuple[float, SeparableEnsemble]:
     """Upper bound on the entanglement of rho across the cut.
 
     Returns the achieved distance together with the separable ensemble
     that achieves it.  The value is recomputed from the returned ensemble,
     so it is a sound upper bound by construction.
 
-    Any caller-supplied candidate ensembles (for the same cut, at most K
-    terms each) are folded into the search and compared against its
-    result, so the returned value never exceeds a candidate's value; this
-    is how enlarging K is kept monotone.
+    The ensemble holds at most (dx*dy)**2 product terms: by Caratheodory's
+    theorem that many reach every separable state of the cut, so the cap
+    never shrinks the set searched.
     """
     cfg = cfg or optim.OptimizerConfig()
-    if K is not None and K < 1:
-        raise InputError("ensemble size K must be >= 1")
     rc, dx, dy = _to_cut_order(rho, cut)
-    cap = K if K is not None else _default_terms(dx, dy)
-    for cand in candidates:
-        if len(cand) > cap:
-            raise InputError(f"candidate ensemble has {len(cand)} > K={cap} terms")
     objective = Objective(rc.mat, kind)
-
-    if cap == 1:
-        _, a, b = _best_single_product(dx, dy, objective, cfg)
-        ensemble = SeparableEnsemble(cut, np.array([1.0]), (a,), (b,))
-    else:
-        ensemble = _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
-                                         max_iters, candidates)
-    best_value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
-    for cand in candidates:
-        value = distance(kind, rho, ensemble_to_state(cand, rho.dims))
-        if value < best_value:
-            best_value, ensemble = value, cand
-    return float(best_value), ensemble
-
-
-def _best_single_product(dx, dy, objective, cfg):
-    # The relative entropy to a rank-1 reference is infinite off a
-    # measure-zero set, so for that kind the search maximizes overlap with
-    # the state instead; the caller recomputes the honest distance.
-    if objective.kind is DistanceKind.RELATIVE_ENTROPY:
-        eye_y = np.eye(dy, dtype=complex)
-        b_starts = [eye_y[:, j] for j in range(dy)]
-        b_starts += [rng.complex_normals(cfg.seed, r, dy, purpose=rng.PURPOSE_ORACLE)
-                     for r in range(4)]
-        val, a, b = _alternating_oracle(-objective.rho, dx, dy, b_starts)
-        return -val, a, b
-
-    def unpack(params):
-        a = optim.param_to_unit_vector(params[: 2 * dx], dx)
-        b = optim.param_to_unit_vector(params[2 * dx:], dy)
-        return a, b
-
-    def value(params):
-        try:
-            a, b = unpack(params)
-        except InputError:
-            return np.inf
-        v = np.kron(a, b)
-        return objective.value(np.outer(v, v.conj()))
-
-    res = optim.minimize(value, 2 * (dx + dy), cfg)
-    a, b = unpack(res.best_params)
-    return res.best_value, a, b
+    ensemble = _conditional_gradient(rc, dx, dy, objective, cut,
+                                     (dx * dy) ** 2, cfg, max_iters)
+    value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
+    return float(value), ensemble
 
 
 def _marginal_product_atoms(rc: DensityMatrix, dx: int, dy: int) -> _Atoms:
@@ -332,14 +279,8 @@ def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
 
 
 def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
-                          max_iters, candidates=()) -> SeparableEnsemble:
+                          max_iters) -> SeparableEnsemble:
     atoms = _marginal_product_atoms(rc, dx, dy)
-    for cand in candidates:
-        if len(atoms.weights) + len(cand) > 2 * cap:
-            continue
-        atoms.scale(0.5)
-        for w, a, b in zip(cand.weights, cand.left_vectors, cand.right_vectors):
-            atoms.add(a, b, 0.5 * float(w))
     atoms.prune(cap)
     f = _reoptimize_weights(atoms, objective)
     best_f, best_snap = f, atoms.snapshot()

@@ -6,6 +6,8 @@ implementation, ``Objective``; every distance in the package, including
 the deficit and entanglement searches, is computed through it.  The one
 exception is the one-way deficit's relative-entropy kind, which uses the
 dephasing identity S(rho') - S(rho) (see quantumness.deficit_for_basis).
+Its dephased entropy S(rho') counts every positive eigenvalue, with no
+``SUPPORT_CUTOFF`` (see quantumness._deficit_objective).
 
 Cutoffs, each guarding one numerical hazard:
 

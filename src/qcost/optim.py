@@ -42,9 +42,9 @@ class OptResult:
     per_start_values: tuple[float, ...] = field(repr=False)
 
 
-def start_point(seed: int, j: int, dim: int, scale: float = 1.0) -> np.ndarray:
+def start_point(seed: int, j: int, dim: int) -> np.ndarray:
     """Deterministic start j of a run: counter-addressed standard normals."""
-    return scale * rng.normals(seed, j, dim, purpose=rng.PURPOSE_OPTIM)
+    return rng.normals(seed, j, dim, purpose=rng.PURPOSE_OPTIM)
 
 
 def minimize(objective: Callable[[np.ndarray], float], dim: int,
@@ -125,14 +125,3 @@ def bloch_unitary(params: np.ndarray) -> np.ndarray:
     e = np.exp(1j * phi)
     return np.array([[c, -s * e.conjugate()], [s * e, c]])
 
-
-def param_to_unit_vector(params: np.ndarray, d: int) -> np.ndarray:
-    """Pairs (re, im) normalized to a complex unit vector of length d."""
-    p = np.asarray(params, dtype=float).reshape(-1)
-    if p.shape[0] != 2 * d:
-        raise InputError(f"need {2 * d} parameters for a length-{d} vector, got {p.shape[0]}")
-    v = p[:d] + 1j * p[d:]
-    norm = np.linalg.norm(v)
-    if norm <= 1e-14:
-        raise InputError("cannot normalize the (near-)zero vector")
-    return v / norm

@@ -185,11 +185,6 @@ class DensityMatrix:
         return self.dims.total_dim
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; index convention i = a_index * dim(b) + b_index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def vector_state(psi, dims: SubsystemDims) -> DensityMatrix:
     """Projector |psi><psi| onto a unit vector, as a DensityMatrix."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -272,19 +267,6 @@ def permute_subsystems(rho: DensityMatrix, new_order: Sequence[str]) -> DensityM
     mat = permute_matrix(rho.mat, rho.dims.dims, perm)
     dims = SubsystemDims(new_order, tuple(rho.dims.dims[p] for p in perm))
     return DensityMatrix.trusted(mat, dims)
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns.
-
-    Raises InputError if the input deviates from Hermitian by more than 1e-9.
-    """
-    m = _as_complex_matrix(m)
-    herm = np.max(np.abs(m - m.conj().T))
-    if herm > HERMITICITY_TOL:
-        raise InputError(f"matrix is not Hermitian: residual {herm:.3e}")
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def embed_local(op: np.ndarray, target: str, dims: SubsystemDims) -> np.ndarray:

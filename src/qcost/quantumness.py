@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .measures import DistanceKind, Objective, entropy_of_spectrum
+from .measures import DistanceKind, Objective
 from .qmat import (DensityMatrix, InputError, local_channel,
                    permute_subsystems)
 
@@ -139,6 +139,9 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind):
     basis rho' is block-diagonal, so its spectrum is the union of the
     spectra of the d blocks Tr_X[P_i rho] (contracted on the measured
     factor): one einsum and one batched eigvalsh, no dephased matrix.
+    Every positive eigenvalue counts in S(rho'): -w log w is continuous at
+    0, so unlike a support cutoff it leaves no jump for the search to
+    exploit by pushing eigenvalues just below the cutoff.
     """
     objective = Objective(rho.mat, kind)
     if kind is not DistanceKind.RELATIVE_ENTROPY:
@@ -151,6 +154,7 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind):
     t = permute_subsystems(rho, rest + (subsystem,)).mat.reshape(r, d, r, d)
 
     def entropy_gain(projectors: np.ndarray) -> float:
-        blocks = np.einsum("iyx,rxsy->irs", projectors, t)
-        return entropy_of_spectrum(np.linalg.eigvalsh(blocks)) + objective.neg_entropy
+        w = np.linalg.eigvalsh(np.einsum("iyx,rxsy->irs", projectors, t))
+        w = w[w > 0.0]
+        return float(-np.sum(w * np.log2(w))) + objective.neg_entropy
     return entropy_gain

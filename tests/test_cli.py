@@ -85,6 +85,10 @@ class TestGenAndMeasure:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["gen", "--family", "ghz", "--out", path, *extra])
             assert exc.value.code == 2
+        # the REE ensemble cap is fixed at (dx*dy)**2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ree", path, "--cut", "A|BC", "--terms", "1"])
+        assert exc.value.code == 2
         # every campaign check samples its own states
         with pytest.raises(SystemExit) as exc:
             cli.main(["campaign", "--check", "dpi", "--samples", "1",

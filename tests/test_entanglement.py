@@ -112,28 +112,18 @@ class TestReeUpper:
         exact_f = 0.5  # max product-state overlap with a Bell state
         assert -1e-9 <= value <= 2 * (1 - np.sqrt(exact_f)) + 1e-3
 
-    def test_k_equals_one_pure_product(self):
+    @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda k: k.value)
+    def test_pure_product_reached_with_one_term(self, kind):
         rho = vector_state(np.kron([1, 0], [0, 1]).astype(complex), TWOQ)
-        value, ensemble = ree_upper(rho, CUT_AB, K=1, cfg=CFG)
+        value, ensemble = ree_upper(rho, CUT_AB, kind, cfg=CFG)
         assert value <= 1e-8
         assert len(ensemble) == 1
 
-    def test_invalid_k(self):
-        with pytest.raises(InputError):
-            ree_upper(bell_dm(), CUT_AB, K=0, cfg=CFG)
-
-    def test_monotone_in_k_with_candidate_embedding(self):
+    def test_ensemble_within_caratheodory_cap(self):
+        # dx = 4, dy = 2 on AC|B: at most (4*2)**2 product terms
         rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 30, 0)
-        v16, e16 = ree_upper(rho, CUT_AC_B, K=16, cfg=CFG)
-        v32, e32 = ree_upper(rho, CUT_AC_B, K=32, cfg=CFG, candidates=(e16,))
-        v64, _ = ree_upper(rho, CUT_AC_B, K=64, cfg=CFG, candidates=(e32,))
-        assert v32 <= v16 + 1e-9
-        assert v64 <= v32 + 1e-9
-
-    def test_candidate_too_large_rejected(self):
-        big = random_separable(TWOQ, CUT_AB, 5, 37)
-        with pytest.raises(InputError):
-            ree_upper(bell_dm(), CUT_AB, K=2, cfg=CFG, candidates=(big,))
+        _, ensemble = ree_upper(rho, CUT_AC_B, cfg=CFG, max_iters=40)
+        assert len(ensemble) <= (4 * 2) ** 2
 
 
 class TestPureStateEntanglement:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcost.optim import (OptimizerConfig, bloch_unitary, minimize,
-                         param_to_unit_vector, param_to_unitary)
+                         param_to_unitary)
 from qcost.qmat import InputError
 
 CFG = OptimizerConfig(seed=3)
@@ -128,22 +128,3 @@ class TestBlochUnitary:
         with pytest.raises(InputError):
             bloch_unitary(np.zeros(3))
 
-
-class TestParamToUnitVector:
-    def test_basis_cases(self):
-        assert_allclose(param_to_unit_vector(np.array([1, 0, 0, 0.0]), 2), [1, 0])
-        assert_allclose(param_to_unit_vector(np.array([0, 1, 0, 0.0]), 2), [0, 1])
-
-    def test_norm_one(self):
-        gen = np.random.default_rng(10)
-        for _ in range(10):
-            v = param_to_unit_vector(gen.normal(size=6), 3)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_rejected(self):
-        with pytest.raises(InputError):
-            param_to_unit_vector(np.zeros(4), 2)
-
-    def test_wrong_length(self):
-        with pytest.raises(InputError):
-            param_to_unit_vector(np.zeros(3), 2)

@@ -5,43 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                        eig_hermitian, embed_local, load_state, local_channel,
-                        partial_trace,
+                        embed_local, load_state, local_channel, partial_trace,
                         partial_transpose, partial_transpose_matrix,
                         permute_subsystems, save_state, state_from_json_dict,
-                        state_to_json_dict, tensor_product)
+                        state_to_json_dict)
 from qcost.statezoo import ghz_state
 
-from conftest import bell_dm, random_hermitian
+from conftest import bell_dm
 
 
 def dm(mat, labels, dims):
     return DensityMatrix(np.asarray(mat, dtype=complex),
                          SubsystemDims(labels, dims))
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        p0 = np.array([[1, 0], [0, 0]])
-        p1 = np.array([[0, 0], [0, 1]])
-        out = tensor_product(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # global index 0*2 + 1
-        assert_allclose(out, expected)
-
-    def test_index_convention_random(self):
-        gen = np.random.default_rng(0)
-        a = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-        b = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-        out = tensor_product(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[2 * i + k, 2 * j + l] == pytest.approx(a[i, j] * b[k, l])
 
 
 class TestPartialTrace:
@@ -183,28 +158,6 @@ class TestPermuteSubsystems:
     def test_not_a_permutation(self):
         with pytest.raises(InputError):
             permute_subsystems(ghz_state(), ("A", "A", "B"))
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        w, v = eig_hermitian(np.eye(2))
-        assert_allclose(w, [1.0, 1.0])
-
-    def test_pauli_z(self):
-        w, _ = eig_hermitian(np.diag([1.0, -1.0]))
-        assert_allclose(w, [1.0, -1.0])
-
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_reconstruction(self, n):
-        m = random_hermitian(n, seed=n)
-        w, v = eig_hermitian(m)
-        assert np.all(np.diff(w) <= 1e-12)  # descending
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-9
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InputError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEmbedLocal:

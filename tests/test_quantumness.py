@@ -5,8 +5,7 @@ from numpy.testing import assert_allclose
 from qcost.measures import (DistanceKind, distance, relative_entropy,
                             vn_entropy)
 from qcost.optim import OptimizerConfig
-from qcost.qmat import (DensityMatrix, InputError, SubsystemDims, embed_local,
-                        tensor_product)
+from qcost.qmat import DensityMatrix, InputError, SubsystemDims, embed_local
 from qcost.quantumness import (MeasurementBasis, _basis_unitary,
                                computational_basis, deficit_for_basis,
                                measure_channel, one_way_deficit)
@@ -145,7 +144,7 @@ class TestOneWayDeficit:
     def test_product_state_vanishes(self):
         a = np.diag([0.7, 0.3]).astype(complex)
         b = np.diag([0.2, 0.8]).astype(complex)
-        rho = DensityMatrix(tensor_product(a, b), TWOQ)
+        rho = DensityMatrix(np.kron(a, b), TWOQ)
         value, _ = one_way_deficit(rho, "A", cfg=CFG)
         assert 0.0 <= value <= 1e-6
 
@@ -153,6 +152,14 @@ class TestOneWayDeficit:
         value, _ = one_way_deficit(eta_state(), "C", cfg=CFG)
         assert value <= 1 / 3 + 1e-6  # computational start guarantees this
         assert value == pytest.approx(1 / 3, abs=1e-4)
+
+    @pytest.mark.parametrize("subsystem,seed", [("C", 4), ("B", 4)])
+    def test_eta_not_below_one_third(self, subsystem, seed):
+        # Bases that push dephased eigenvalues just below a support cutoff
+        # must not lower the value: eta's deficit is exactly 1/3.
+        value, _ = one_way_deficit(eta_state(), subsystem,
+                                   cfg=OptimizerConfig(seed=seed))
+        assert value >= 1 / 3 - 1e-15
 
     def test_never_beats_computational_start(self):
         for i in range(3):
