@@ -14,8 +14,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .entanglement import (coherent_info_lower, measured_separable_upper,
                            ppt_min_eigenvalue, ree_upper)
@@ -99,20 +97,9 @@ def _scalar(value: float) -> str:
 
 
 def _parse_dims(text: str) -> SubsystemDims:
-    try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InputError(f"dims must be comma-separated integers, got {text!r}")
+    dims = text.split(",")
     labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
     return SubsystemDims(labels, dims)
-
-
-def _basis_unitary(basis) -> np.ndarray:
-    cols = []
-    for p in basis.projectors:
-        _, v = np.linalg.eigh(p)
-        cols.append(v[:, -1])
-    return np.column_stack(cols)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +129,7 @@ def cmd_deficit(args) -> int:
         value, basis = one_way_deficit(rho, args.subsystem, kind, _cfg(args))
         report.update({"subsystem": args.subsystem, "kind": args.kind,
                        "basis": "optimized", "value": value,
-                       "basis_unitary": matrix_to_json(_basis_unitary(basis))})
+                       "basis_unitary": matrix_to_json(basis.unitary)})
     _emit(args, report)
     print(_scalar(value))
     return EXIT_OK
@@ -152,7 +139,7 @@ def cmd_ree(args) -> int:
     rho = load_state(args.state)
     cut = Bipartition.parse(args.cut, rho.labels)
     kind = _KINDS[args.kind]
-    value, ensemble = ree_upper(rho, cut, kind, cfg=_cfg(args))
+    value, ensemble = ree_upper(rho, cut, kind, cfg=OptimizerConfig(seed=args.seed))
     report = _header(args, "ree", [args.state])
     report.update({
         "cut": str(cut),
@@ -251,7 +238,7 @@ def cmd_protocol(args) -> int:
     report = _header(args, "protocol", [args.script])
     report.update(ledger.to_json_dict())
     _emit(args, report)
-    return EXIT_VIOLATION if ledger.violated else EXIT_OK
+    return EXIT_VIOLATION if ledger.violated or not ledger.locc_ok else EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -317,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--cut", required=True, help='bipartition such as "A|BC"')
     p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=42)
+    _add_output(p)
     p.set_defaults(func=cmd_ree)
 
     p = sub.add_parser("eta", help="reproduce the worked three-qubit example")

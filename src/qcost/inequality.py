@@ -239,7 +239,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
     def pair():
         rho = ginibre_mixed(dims, dims.total_dim, seed, 2 * index)
         sigma = ginibre_mixed(dims, dims.total_dim, seed, 2 * index + 1)
-        basis = MeasurementBasis.from_unitary(sub, haar_unitary(d_sub, seed, index))
+        basis = MeasurementBasis(sub, haar_unitary(d_sub, seed, index))
         return rho, sigma, basis
 
     if check == "collinearity":
@@ -271,8 +271,9 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
                 "E_initial_upper": Quantity(ledger.e_initial_upper, TAG_UPPER),
                 "E_final_lower": Quantity(ledger.e_final_lower, TAG_LOWER),
             },
-            ledger.budget_slack, ledger.violated, TOL_OPTIMIZER,
-            extra={"n_sends": len(ledger.deltas)},
+            ledger.budget_slack, ledger.violated or not ledger.locc_ok,
+            TOL_OPTIMIZER,
+            extra={"n_sends": len(ledger.deltas), "locc_ok": ledger.locc_ok},
         )
     raise InputError(f"unknown campaign check {check!r}; one of {CAMPAIGN_CHECKS}")
 

@@ -219,6 +219,9 @@ def script_from_json_dict(data: dict, base_dir: str = ".") -> ProtocolScript:
         steps_raw = data["steps"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"script missing field: {exc}") from exc
+    if not isinstance(steps_raw, list) or not all(isinstance(raw, dict)
+                                                  for raw in steps_raw):
+        raise InputError("script steps must be a list of objects")
     if isinstance(initial, str):
         from .qmat import load_state
         state = load_state(os.path.join(base_dir, initial))
@@ -241,7 +244,8 @@ def script_to_json_dict(script: ProtocolScript) -> dict:
     steps = []
     for s in script.steps:
         if s.kind == SEND_C:
-            steps.append({"kind": SEND_C})
+            steps.append({"kind": SEND_C} if s.party is None
+                         else {"kind": SEND_C, "party": s.party})
         else:
             steps.append({"kind": LOCAL_CHANNEL, "party": s.party,
                           "kraus": [matrix_to_json(k) for k in s.kraus]})

@@ -39,7 +39,10 @@ class SubsystemDims:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        try:
+            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        except (TypeError, ValueError):
+            raise InputError(f"dims must be integers, got {self.dims!r}") from None
         if len(self.labels) != len(self.dims):
             raise InputError("labels and dims must have equal length")
         if len(set(self.labels)) != len(self.labels):

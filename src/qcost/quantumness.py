@@ -4,11 +4,13 @@ The deficit of a state across X|Y is the minimal distance between the
 state and its dephased image under a rank-1 projective measurement on X,
 minimized over measurement bases.  Only rank-1 (non-degenerate) projective
 measurements are searched; this interpretation choice is documented in the
-package README.  One kernel evaluates the deficit for both
-``deficit_for_basis`` and the search, which parameterizes a qubit basis by
-its Bloch angles and a qudit basis by U = exp(iH); for the relative-entropy
-kind it reads the dephased spectrum off the d diagonal blocks of the state
-in the measurement basis instead of building the dephased state.
+package README.  A measurement basis is the unitary whose columns are the
+measured vectors.  One kernel, a function of the stack of projectors onto
+those columns, evaluates the deficit for both ``deficit_for_basis`` and the
+search, which parameterizes a qubit basis by its Bloch angles and a qudit
+basis by U = exp(iH); for the relative-entropy kind it reads the dephased
+spectrum off the d diagonal blocks of the state in the measurement basis
+instead of building the dephased state.
 """
 
 from __future__ import annotations
@@ -22,54 +24,42 @@ from .measures import DistanceKind, Objective
 from .qmat import (DensityMatrix, InputError, local_channel,
                    permute_subsystems)
 
-_PROJECTOR_TOL = 1e-10
+_UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Complete set of rank-1 orthogonal projectors on one subsystem."""
+    """Rank-1 projective measurement on one subsystem, stored as the
+    read-only unitary whose columns are the measured vectors.  Checking
+    U^dag U = I makes the column projectors a complete orthogonal set."""
 
     subsystem: str
-    projectors: tuple[np.ndarray, ...]
+    unitary: np.ndarray
 
     def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        d = projs[0].shape[0]
-        acc = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise InputError("projectors must share one square shape")
-            if abs(np.trace(p) - 1.0) > _PROJECTOR_TOL:
-                raise InputError(f"projector {i} is not rank-1 (trace {np.trace(p)!r})")
-            if np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL:
-                raise InputError(f"projector {i} is not idempotent")
-            for q in projs[:i]:
-                if np.max(np.abs(p @ q)) > _PROJECTOR_TOL:
-                    raise InputError("projectors are not mutually orthogonal")
-            acc += p
-        if np.max(np.abs(acc - np.eye(d))) > _PROJECTOR_TOL:
-            raise InputError("projectors do not sum to the identity")
-        for p in projs:
-            p.setflags(write=False)
-        object.__setattr__(self, "projectors", projs)
-
-    @classmethod
-    def from_unitary(cls, subsystem: str, unitary: np.ndarray) -> "MeasurementBasis":
-        """Basis whose projectors are onto the unitary's columns."""
-        return cls(subsystem, _column_projectors(np.asarray(unitary, dtype=complex)))
+        u = np.array(self.unitary, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise InputError(f"basis unitary must be square, got shape {u.shape}")
+        if u.shape[0] < 2:
+            raise InputError("measurement needs local dimension >= 2")
+        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > _UNITARY_TOL:
+            raise InputError("basis matrix is not unitary")
+        u.setflags(write=False)
+        object.__setattr__(self, "unitary", u)
 
     @property
     def local_dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.unitary.shape[0]
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """(d, d, d) stack of the projectors onto the unitary's columns."""
+        return _column_projectors(self.unitary)
 
 
 def computational_basis(subsystem: str, d: int) -> MeasurementBasis:
     """Projectors |i><i| for i = 0..d-1."""
-    if d < 2:
-        raise InputError("measurement needs local dimension >= 2")
-    eye = np.eye(d, dtype=complex)
-    return MeasurementBasis(subsystem, tuple(np.outer(eye[:, i], eye[:, i])
-                                             for i in range(d)))
+    return MeasurementBasis(subsystem, np.eye(d))
 
 
 def measure_channel(rho: DensityMatrix, basis: MeasurementBasis) -> DensityMatrix:
@@ -90,7 +80,7 @@ def deficit_for_basis(rho: DensityMatrix, basis: MeasurementBasis,
     if basis.local_dim != d:
         raise InputError(f"basis dimension {basis.local_dim} != dimension {d} "
                          f"of {basis.subsystem}")
-    return _deficit_objective(rho, basis.subsystem, kind)(np.array(basis.projectors))
+    return _deficit_objective(rho, basis.subsystem, kind)(basis.projectors)
 
 
 def one_way_deficit(rho: DensityMatrix, subsystem: str,
@@ -112,15 +102,16 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
     objective = _deficit_objective(rho, subsystem, kind)
 
     def deficit(params: np.ndarray) -> float:
-        return objective(np.array(_column_projectors(_basis_unitary(params, d))))
+        return objective(_column_projectors(_basis_unitary(params, d)))
     res = optim.minimize(deficit, n_params, cfg, extra_starts=[np.zeros(n_params)])
-    return res.best_value, MeasurementBasis.from_unitary(
-        subsystem, _basis_unitary(res.best_params, d))
+    return res.best_value, MeasurementBasis(subsystem,
+                                            _basis_unitary(res.best_params, d))
 
 
-def _column_projectors(u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rank-1 projectors onto the columns of u, one np.outer per column."""
-    return tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(u.shape[1]))
+def _column_projectors(u: np.ndarray) -> np.ndarray:
+    """(d, d, d) stack of the projectors onto the columns of u, contiguous
+    so that einsum sums it in the same order as stacked np.outer products."""
+    return np.ascontiguousarray(u.T[:, :, None] * u.T.conj()[:, None, :])
 
 
 def _basis_unitary(params: np.ndarray, d: int) -> np.ndarray:

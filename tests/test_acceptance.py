@@ -114,8 +114,7 @@ def _schmidt_entropy_oracle(psi: np.ndarray) -> float:
 def _bloch_basis(theta: float, phi: float) -> MeasurementBasis:
     u0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     u1 = np.array([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)])
-    return MeasurementBasis("A", (np.outer(u0, u0.conj()),
-                                  np.outer(u1, u1.conj())))
+    return MeasurementBasis("A", np.column_stack([u0, u1]))
 
 
 def test_criterion_6_optimizer_calibration(capsys):

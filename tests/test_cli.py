@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import qcost.cli as cli
-from qcost.protocol import script_to_json_dict, trivial_distribution_script
-from qcost.qmat import DensityMatrix, save_state, vector_state
+from qcost.protocol import (round_trip_script, script_to_json_dict,
+                            trivial_distribution_script)
+from qcost.qmat import (DensityMatrix, save_state, state_to_json_dict,
+                        vector_state)
 from qcost.statezoo import TRIPARTITE_QUBITS
 
 from conftest import bell_vector
@@ -68,6 +70,16 @@ class TestGenAndMeasure:
         code, _ = run_cli(capsys, "measure", str(path))
         assert code == 2
 
+    def test_non_integer_dims(self, tmp_path, capsys):
+        data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
+                                                TRIPARTITE_QUBITS))
+        data["dims"] = [2, "x", 2]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        for argv in (["measure", str(path)], ["ree", str(path), "--cut", "A|BC"]):
+            code, _ = run_cli(capsys, *argv)
+            assert code == 2
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "measure", "/does/not/exist.json")
         assert code == 2
@@ -88,6 +100,10 @@ class TestGenAndMeasure:
         # the REE ensemble cap is fixed at (dx*dy)**2
         with pytest.raises(SystemExit) as exc:
             cli.main(["ree", path, "--cut", "A|BC", "--terms", "1"])
+        assert exc.value.code == 2
+        # the REE search reads only the seed of the optimizer settings
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ree", path, "--cut", "A|BC", "--restarts", "1"])
         assert exc.value.code == 2
         # every campaign check samples its own states
         with pytest.raises(SystemExit) as exc:
@@ -257,6 +273,30 @@ class TestProtocolCommand:
         path.write_text("[1,2,3]")
         code, _ = run_cli(capsys, "protocol", str(path))
         assert code == 2
+
+    def test_steps_not_objects(self, tmp_path, capsys):
+        data = script_to_json_dict(trivial_distribution_script())
+        data["steps"] = ["SEND_C"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _ = run_cli(capsys, "protocol", str(path))
+        assert code == 2
+
+    def test_locc_violation_fails_run(self, tmp_path, capsys, monkeypatch):
+        # raising every certified lower bound by 1 drives the LOCC slack
+        # to about -1 while the budget slack stays positive
+        import qcost.protocol as protocol
+        lower = protocol.coherent_info_lower
+        monkeypatch.setattr(protocol, "coherent_info_lower",
+                            lambda rho, cut: lower(rho, cut) + 1.0)
+        path = tmp_path / "round_trip.json"
+        path.write_text(json.dumps(script_to_json_dict(round_trip_script())))
+        code, out = run_cli(capsys, "protocol", str(path))
+        report = parse_json_head(out)
+        assert code == 1
+        assert report["locc_ok"] is False
+        assert report["violated"] is False
+        assert report["budget_slack"] > 0
 
 
 class TestReportHeaders:

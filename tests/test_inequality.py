@@ -20,10 +20,6 @@ CFG = OptimizerConfig(seed=4)
 TWOQ = SubsystemDims(("A", "B"), (2, 2))
 
 
-def haar_basis(sub, d, seed, index):
-    return MeasurementBasis.from_unitary(sub, haar_unitary(d, seed, index))
-
-
 class TestCollinearity:
     def test_sigma_equals_rho(self):
         rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 40, 0)
@@ -47,7 +43,8 @@ class TestCollinearity:
         for i in range(30):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 41, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 41, 2 * i + 1)
-            report = collinearity_check(rho, sigma, haar_basis("C", 2, 41, i))
+            basis = MeasurementBasis("C", haar_unitary(2, 41, i))
+            report = collinearity_check(rho, sigma, basis)
             worst = max(worst, abs(report.slack))
             assert not report.violated
         assert worst <= 1e-8
@@ -64,12 +61,11 @@ class TestCollinearity:
         rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 43, 0)
         sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 43, 1)
         u = haar_unitary(2, 43, 2)
-        basis = haar_basis("C", 2, 43, 3)
+        basis = MeasurementBasis("C", haar_unitary(2, 43, 3))
         emb = embed_local(u, "C", TRIPARTITE_QUBITS)
         rho_u = DensityMatrix(emb @ rho.mat @ emb.conj().T, TRIPARTITE_QUBITS)
         sigma_u = DensityMatrix(emb @ sigma.mat @ emb.conj().T, TRIPARTITE_QUBITS)
-        basis_u = MeasurementBasis("C", tuple(u @ p @ u.conj().T
-                                              for p in basis.projectors))
+        basis_u = MeasurementBasis("C", u @ basis.unitary)
         r1 = collinearity_check(rho, sigma, basis)
         r2 = collinearity_check(rho_u, sigma_u, basis_u)
         assert r1.slack == pytest.approx(r2.slack, abs=1e-8)
@@ -97,7 +93,8 @@ class TestDpi:
         for i in range(20):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 44, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 44, 2 * i + 1)
-            report = dpi_check(rho, sigma, haar_basis("C", 2, 44, i), kind)
+            basis = MeasurementBasis("C", haar_unitary(2, 44, i))
+            report = dpi_check(rho, sigma, basis, kind)
             assert report.slack >= -1e-9
             assert not report.violated
 
@@ -167,16 +164,16 @@ class TestPureChain:
 class TestDistanceChain:
     def test_sigma_equals_rho(self):
         rho = ginibre_mixed(TWOQ, 4, 48, 0)
-        report = distance_chain_check(rho, rho, haar_basis("B", 2, 48, 0),
-                                      DistanceKind.TRACE)
+        basis = MeasurementBasis("B", haar_unitary(2, 48, 0))
+        report = distance_chain_check(rho, rho, basis, DistanceKind.TRACE)
         assert report.slack >= -1e-12
 
     def test_trace_random(self):
         for i in range(20):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 49, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 49, 2 * i + 1)
-            report = distance_chain_check(rho, sigma, haar_basis("C", 2, 49, i),
-                                          DistanceKind.TRACE)
+            basis = MeasurementBasis("C", haar_unitary(2, 49, i))
+            report = distance_chain_check(rho, sigma, basis, DistanceKind.TRACE)
             assert report.slack >= -1e-9
             assert report.extra["asserted"] is True
 
@@ -185,8 +182,8 @@ class TestDistanceChain:
         for i in range(20):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 50, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 50, 2 * i + 1)
-            report = distance_chain_check(rho, sigma, haar_basis("C", 2, 50, i),
-                                          DistanceKind.BURES)
+            basis = MeasurementBasis("C", haar_unitary(2, 50, i))
+            report = distance_chain_check(rho, sigma, basis, DistanceKind.BURES)
             slacks.append(report.slack)
             assert report.extra["asserted"] is False
             assert not report.violated  # statistics only, never a hard verdict
@@ -194,9 +191,9 @@ class TestDistanceChain:
 
     def test_relative_entropy_kind_rejected(self):
         rho = ginibre_mixed(TWOQ, 4, 51, 0)
+        basis = MeasurementBasis("B", haar_unitary(2, 51, 0))
         with pytest.raises(InputError):
-            distance_chain_check(rho, rho, haar_basis("B", 2, 51, 0),
-                                 DistanceKind.RELATIVE_ENTROPY)
+            distance_chain_check(rho, rho, basis, DistanceKind.RELATIVE_ENTROPY)
 
 
 class TestReports:
@@ -213,7 +210,8 @@ class TestReports:
         for i in range(10):
             rho = ginibre_mixed(TWOQ, 4, 52, 2 * i)
             sigma = ginibre_mixed(TWOQ, 4, 52, 2 * i + 1)
-            report = dpi_check(rho, sigma, haar_basis("A", 2, 52, i))
+            basis = MeasurementBasis("A", haar_unitary(2, 52, i))
+            report = dpi_check(rho, sigma, basis)
             assert report.violated == (report.slack < -report.tolerance)
 
     def test_determinism(self):
@@ -275,6 +273,19 @@ class TestCampaign:
         assert summary["violations"] == 0
         for r in reports:
             assert r.slack >= -1e-6
+
+    def test_protocol_locc_violation_fails_sample(self, monkeypatch):
+        # raising every certified lower bound by 1 fails the LOCC check of
+        # sample 3 (one local channel) while its budget slack stays positive
+        from qcost.inequality import campaign_sample
+        import qcost.protocol as protocol
+        lower = protocol.coherent_info_lower
+        monkeypatch.setattr(protocol, "coherent_info_lower",
+                            lambda rho, cut: lower(rho, cut) + 1.0)
+        report = campaign_sample("protocol", TRIPARTITE_QUBITS, 57, 3)
+        assert report.slack > 0
+        assert report.violated
+        assert report.extra["locc_ok"] is False
 
     def test_bipartite_dims_supported(self):
         _, summary = run_campaign("collinearity", TWOQ, 10, 58, workers=1)

@@ -160,6 +160,14 @@ class TestScriptFiles:
         assert np.max(np.abs(back.initial_state.mat
                              - script.initial_state.mat)) <= 1e-15
 
+    def test_roundtrip_keeps_sender(self, tmp_path):
+        rho = vector_state(haar_pure(TRIPARTITE_QUBITS, 62, 1), TRIPARTITE_QUBITS)
+        script = ProtocolScript(rho, ALICE, (Step(SEND_C, party=BOB),))
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script_to_json_dict(script)))
+        with pytest.raises(InputError):
+            run_protocol(load_script(path), CFG)
+
     def test_state_by_reference(self, tmp_path):
         from qcost.qmat import save_state
         rho = vector_state(haar_pure(TRIPARTITE_QUBITS, 63, 0), TRIPARTITE_QUBITS)

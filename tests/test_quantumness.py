@@ -16,10 +16,6 @@ TWOQ = SubsystemDims(("A", "B"), (2, 2))
 CFG = OptimizerConfig(seed=1)
 
 
-def haar_basis(subsystem, d, seed, index):
-    return MeasurementBasis.from_unitary(subsystem, haar_unitary(d, seed, index))
-
-
 class TestMeasurementBasis:
     def test_computational_trivia(self):
         basis = computational_basis("C", 2)
@@ -36,25 +32,28 @@ class TestMeasurementBasis:
             assert p[i, i] == pytest.approx(1.0)
 
     def test_invariants_from_unitary(self):
-        basis = haar_basis("B", 2, 0, 0)
+        basis = MeasurementBasis("B", haar_unitary(2, 0, 0))
         p0, p1 = basis.projectors
         assert np.max(np.abs(p0 @ p0 - p0)) <= 1e-10
         assert np.max(np.abs(p0 @ p1)) <= 1e-10
         assert np.max(np.abs(p0 + p1 - np.eye(2))) <= 1e-10
 
-    def test_rejects_incomplete_set(self):
-        p0 = np.diag([1.0, 0.0])
-        with pytest.raises(InputError):
-            MeasurementBasis("A", (p0,))
+    def test_projectors_equal_outer_stack(self):
+        u = haar_unitary(3, 0, 1)
+        want = np.array([np.outer(u[:, i], u[:, i].conj()) for i in range(3)])
+        assert np.array_equal(MeasurementBasis("X", u).projectors, want)
 
-    def test_rejects_rank_two_projector(self):
+    def test_rejects_non_square(self):
         with pytest.raises(InputError):
-            MeasurementBasis("A", (np.eye(2), np.zeros((2, 2))))
+            MeasurementBasis("A", np.eye(3)[:, :2])
 
-    def test_rejects_non_orthogonal(self):
-        plus = np.full((2, 2), 0.5)
+    def test_rejects_non_unitary(self):
         with pytest.raises(InputError):
-            MeasurementBasis("A", (np.diag([1.0, 0.0]), plus))
+            MeasurementBasis("A", np.full((2, 2), 0.5))
+
+    def test_rejects_one_by_one(self):
+        with pytest.raises(InputError):
+            MeasurementBasis("A", np.eye(1))
 
 
 class TestMeasureChannel:
@@ -74,19 +73,19 @@ class TestMeasureChannel:
 
     def test_maximally_mixed_unchanged(self):
         rho = DensityMatrix(np.eye(4, dtype=complex) / 4, TWOQ)
-        out = measure_channel(rho, haar_basis("B", 2, 1, 0))
+        out = measure_channel(rho, MeasurementBasis("B", haar_unitary(2, 1, 0)))
         assert_allclose(out.mat, rho.mat, atol=1e-12)
 
     def test_idempotent(self):
         rho = ginibre_mixed(TWOQ, 4, 2, 0)
-        basis = haar_basis("A", 2, 2, 1)
+        basis = MeasurementBasis("A", haar_unitary(2, 2, 1))
         once = measure_channel(rho, basis)
         twice = measure_channel(once, basis)
         assert np.max(np.abs(twice.mat - once.mat)) <= 1e-10
 
     def test_commutes_with_projectors(self):
         rho = ginibre_mixed(TWOQ, 4, 3, 0)
-        basis = haar_basis("A", 2, 3, 1)
+        basis = MeasurementBasis("A", haar_unitary(2, 3, 1))
         out = measure_channel(rho, basis)
         for p in basis.projectors:
             emb = embed_local(p, "A", rho.dims)
@@ -133,7 +132,7 @@ class TestDeficitForBasis:
     def test_matches_entropy_difference(self):
         for i in range(10):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 5, i)
-            basis = haar_basis("C", 2, 5, i)
+            basis = MeasurementBasis("C", haar_unitary(2, 5, i))
             direct = deficit_for_basis(rho, basis)
             rho_p = measure_channel(rho, basis)
             assert direct == pytest.approx(vn_entropy(rho_p) - vn_entropy(rho),
@@ -216,14 +215,14 @@ class TestDeficitObjective:
         d = self.D234.dim_of(subsystem)
         for i, rank in enumerate((1, 3, 24)):
             rho = ginibre_mixed(self.D234, rank, 40, i)
-            basis = haar_basis(subsystem, d, 41, i)
+            basis = MeasurementBasis(subsystem, haar_unitary(d, 41, i))
             want = distance(kind, rho, measure_channel(rho, basis))
             assert deficit_for_basis(rho, basis, kind) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_parameters_give_computational_basis(self, d):
         n_params = 2 if d == 2 else d * d
-        basis = MeasurementBasis.from_unitary("A", _basis_unitary(np.zeros(n_params), d))
+        basis = MeasurementBasis("A", _basis_unitary(np.zeros(n_params), d))
         for p, q in zip(basis.projectors, computational_basis("A", d).projectors):
             assert_allclose(p, q, atol=1e-15)
 
@@ -233,7 +232,7 @@ class TestProofIdentities:
         for i in range(10):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 10, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 10, 2 * i + 1)
-            basis = haar_basis("C", 2, 10, i)
+            basis = MeasurementBasis("C", haar_unitary(2, 10, i))
             before = relative_entropy(rho, sigma)
             after = relative_entropy(measure_channel(rho, basis),
                                      measure_channel(sigma, basis))
@@ -245,7 +244,7 @@ class TestProofIdentities:
         for i in range(10):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 11, 2 * i)
             sigma = ginibre_mixed(TRIPARTITE_QUBITS, 8, 11, 2 * i + 1)
-            basis = haar_basis("C", 2, 11, i)
+            basis = MeasurementBasis("C", haar_unitary(2, 11, i))
             rho_p = measure_channel(rho, basis)
             sigma_p = measure_channel(sigma, basis)
             lhs1 = -vn_entropy(rho) - relative_entropy(rho, rho_p)
