@@ -59,7 +59,7 @@ def _config_echo(args) -> dict:
     """The options the command takes; optimizer settings only where a
     search reads them."""
     echo = {key: getattr(args, key)
-            for key in ("seed", "restarts", "max_evals", "xtol", "ftol")
+            for key in ("seed", "restarts", "max_evals")
             if hasattr(args, key)}
     echo["output"] = getattr(args, "output", None) or "stdout"
     echo["format"] = getattr(args, "format", "json")
@@ -78,8 +78,7 @@ def _header(args, command: str, inputs=()) -> dict:
 
 def _cfg(args) -> OptimizerConfig:
     return OptimizerConfig(restarts=args.restarts,
-                           max_evals_per_start=args.max_evals,
-                           xtol=args.xtol, ftol=args.ftol, seed=args.seed)
+                           max_evals_per_start=args.max_evals, seed=args.seed)
 
 
 def _emit(args, payload: dict) -> None:
@@ -97,7 +96,10 @@ def _scalar(value: float) -> str:
 
 
 def _parse_dims(text: str) -> SubsystemDims:
-    dims = text.split(",")
+    try:
+        dims = tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise InputError(f"dims must be comma-separated integers, got {text!r}") from None
     labels = tuple(chr(ord("A") + i) for i in range(len(dims)))
     return SubsystemDims(labels, dims)
 
@@ -139,7 +141,7 @@ def cmd_ree(args) -> int:
     rho = load_state(args.state)
     cut = Bipartition.parse(args.cut, rho.labels)
     kind = _KINDS[args.kind]
-    value, ensemble = ree_upper(rho, cut, kind, cfg=OptimizerConfig(seed=args.seed))
+    value, ensemble = ree_upper(rho, cut, kind, seed=args.seed)
     report = _header(args, "ree", [args.state])
     report.update({
         "cut": str(cut),
@@ -149,8 +151,8 @@ def cmd_ree(args) -> int:
         "ppt_min_eigenvalue": ppt_min_eigenvalue(rho, cut),
         "ensemble": {
             "weights": list(map(float, ensemble.weights)),
-            "left_vectors": [matrix_to_json(v[None, :])[0] for v in ensemble.left_vectors],
-            "right_vectors": [matrix_to_json(v[None, :])[0] for v in ensemble.right_vectors],
+            "left_vectors": matrix_to_json(ensemble.left),
+            "right_vectors": matrix_to_json(ensemble.right),
         },
     })
     _emit(args, report)
@@ -170,9 +172,9 @@ def cmd_eta(args) -> int:
 
     deficit_comp = deficit_for_basis(eta, basis_c)
     deficit_opt, _ = one_way_deficit(eta, "C", DistanceKind.RELATIVE_ENTROPY, cfg)
-    ree_acb, _ = ree_upper(eta, cut_acb, cfg=cfg)
-    ree_abc, _ = ree_upper(eta, cut_abc, cfg=cfg)
-    ree_a_bc, _ = ree_upper(eta, cut_a_bc, cfg=cfg)
+    ree_acb, _ = ree_upper(eta, cut_acb, seed=cfg.seed)
+    ree_abc, _ = ree_upper(eta, cut_abc, seed=cfg.seed)
+    ree_a_bc, _ = ree_upper(eta, cut_a_bc, seed=cfg.seed)
     msu = measured_separable_upper(eta, eta_meas, basis_c, cut_acb)
     ppt_acb = ppt_min_eigenvalue(eta, cut_acb)
     ppt_abc = ppt_min_eigenvalue(eta, cut_abc)
@@ -222,7 +224,8 @@ def cmd_campaign(args) -> int:
         for line in lines:
             print(line)
     if args.format == "tsv":
-        keys = ["check", "samples", "violations", "min_slack", "max_abs_slack", "seed"]
+        keys = ["check", "samples", "violations", "powered", "min_slack",
+                "max_abs_slack", "seed"]
         print("\t".join(keys))
         print("\t".join(str(_round12(summary[k])) for k in keys))
     else:
@@ -238,7 +241,7 @@ def cmd_protocol(args) -> int:
     report = _header(args, "protocol", [args.script])
     report.update(ledger.to_json_dict())
     _emit(args, report)
-    return EXIT_VIOLATION if ledger.violated or not ledger.locc_ok else EXIT_OK
+    return EXIT_VIOLATION if ledger.failed else EXIT_OK
 
 
 def cmd_gen(args) -> int:
@@ -274,8 +277,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_output(p)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-evals", dest="max_evals", type=int, default=20000)
-    p.add_argument("--xtol", type=float, default=1e-8)
-    p.add_argument("--ftol", type=float, default=1e-10)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,12 @@
 """Entanglement measures: closest-separable-state upper bounds, analytic
 pure-state values, coherent-information lower bounds, and PPT checks.
 
+A separable ensemble is stored as stacked rows: weights (k,), left (k, dx)
+and right (k, dy), row j of left and right being the j-th product term.
+The search's working set and the returned ensemble share that format, and
+one kernel, sum_j w_j |v_j><v_j| over the stacked product rows v_j,
+materializes every separable mixture.
+
 The upper-bound search exploits that all three distance kinds are convex
 in the separable argument: a conditional-gradient loop moves the candidate
 ensemble toward the state, adding one product state per step (found by
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import optim, rng
+from . import rng
 from .measures import (DistanceKind, Objective, distance, relative_entropy,
                        vn_entropy)
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
@@ -34,37 +40,48 @@ _GAP_TOL = 2e-4
 
 @dataclass(frozen=True)
 class SeparableEnsemble:
-    """Convex mixture of product pure states across a bipartition.
+    """Convex mixture sum_j weights[j] |left[j]><left[j]| x |right[j]><right[j]|
+    of product pure states across a bipartition.
 
-    Vectors are stored in the cut-local bases: left_vectors on the grouped
-    X factor, right_vectors on the grouped Y factor.
+    Read-only stacked rows in the cut-local bases: weights (k,), left (k, dx)
+    on the grouped X factor, right (k, dy) on the grouped Y factor.
     """
 
     cut: Bipartition
     weights: np.ndarray
-    left_vectors: tuple[np.ndarray, ...]
-    right_vectors: tuple[np.ndarray, ...]
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(self.left_vectors) != w.shape[0] \
-                or len(self.right_vectors) != w.shape[0]:
-            raise InputError("weights and vector lists must have equal length")
-        if np.any(w < 0.0) or abs(np.sum(w) - 1.0) > 1e-12:
+        w = np.array(self.weights, dtype=float)
+        left = np.array(self.left, dtype=complex)
+        right = np.array(self.right, dtype=complex)
+        if w.ndim != 1 or left.ndim != 2 or right.ndim != 2 \
+                or not w.shape[0] == left.shape[0] == right.shape[0]:
+            raise InputError("weights (k,), left (k, dx) and right (k, dy) "
+                             "must have equal row counts")
+        # negated comparisons, so that NaN entries fail
+        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= 1e-12):
             raise InputError("weights must be nonnegative and sum to 1")
-        lv = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.left_vectors)
-        rv = tuple(np.asarray(v, dtype=complex).reshape(-1) for v in self.right_vectors)
-        for v in lv + rv:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-                raise InputError("ensemble vectors must be unit norm")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "left_vectors", lv)
-        object.__setattr__(self, "right_vectors", rv)
+        for rows in (left, right):
+            if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-10):
+                raise InputError("ensemble rows must be unit norm")
+        for name, arr in (("weights", w), ("left", left), ("right", right)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return self.weights.shape[0]
+
+
+def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row j is kron(left[j], right[j])."""
+    return (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
+
+
+def _mixture(weights: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] |prods[j]><prods[j]| over the stacked rows."""
+    return (prods * weights[:, None]).T @ prods.conj()
 
 
 def ensemble_to_state(e: SeparableEnsemble, dims: SubsystemDims) -> DensityMatrix:
@@ -72,16 +89,11 @@ def ensemble_to_state(e: SeparableEnsemble, dims: SubsystemDims) -> DensityMatri
     e.cut.validate_against(dims)
     dx = dims.subset_dim(e.cut.left)
     dy = dims.subset_dim(e.cut.right)
-    for v in e.left_vectors:
-        if v.shape[0] != dx:
-            raise InputError(f"left vector length {v.shape[0]} != cut dimension {dx}")
-    for v in e.right_vectors:
-        if v.shape[0] != dy:
-            raise InputError(f"right vector length {v.shape[0]} != cut dimension {dy}")
-    mat = np.zeros((dx * dy, dx * dy), dtype=complex)
-    for p, a, b in zip(e.weights, e.left_vectors, e.right_vectors):
-        v = np.kron(a, b)
-        mat += p * np.outer(v, v.conj())
+    if e.left.shape[1] != dx:
+        raise InputError(f"left row length {e.left.shape[1]} != cut dimension {dx}")
+    if e.right.shape[1] != dy:
+        raise InputError(f"right row length {e.right.shape[1]} != cut dimension {dy}")
+    mat = _mixture(e.weights, _product_rows(e.left, e.right))
     cut_order = e.cut.left + e.cut.right
     cut_dims = SubsystemDims(cut_order, tuple(dims.dim_of(l) for l in cut_order))
     sigma = DensityMatrix.trusted(mat, cut_dims)
@@ -130,14 +142,13 @@ def _to_cut_order(rho: DensityMatrix, cut: Bipartition):
 
 
 class _Atoms:
-    """Working separable ensemble: stacked product vectors with weights."""
+    """Working separable ensemble: stacked product rows left[j] x right[j],
+    their Kronecker products prods[j], and weights.  Every update replaces
+    an array instead of writing into it, so snapshots share them."""
 
-    def __init__(self, dx: int, dy: int):
-        self.dx, self.dy = dx, dy
-        self.left: list[np.ndarray] = []
-        self.right: list[np.ndarray] = []
-        self.prods = np.zeros((0, dx * dy), dtype=complex)
-        self.weights = np.zeros(0)
+    def __init__(self, left: np.ndarray, right: np.ndarray, weights: np.ndarray):
+        self.left, self.right, self.weights = left, right, weights
+        self.prods = _product_rows(left, right)
 
     def add(self, a: np.ndarray, b: np.ndarray, weight: float):
         v = np.kron(a, b)
@@ -148,8 +159,8 @@ class _Atoms:
                 self.weights = self.weights.copy()
                 self.weights[k] += weight
                 return
-        self.left.append(a)
-        self.right.append(b)
+        self.left = np.vstack([self.left, a[None, :]])
+        self.right = np.vstack([self.right, b[None, :]])
         self.prods = np.vstack([self.prods, v[None, :]])
         self.weights = np.append(self.weights, weight)
 
@@ -157,12 +168,11 @@ class _Atoms:
         self.weights = self.weights * factor
 
     def sigma(self, weights=None) -> np.ndarray:
-        w = self.weights if weights is None else weights
-        return (self.prods * w[:, None]).T @ self.prods.conj()
+        return _mixture(self.weights if weights is None else weights, self.prods)
 
     def drop(self, keep_mask):
-        self.left = [v for v, k in zip(self.left, keep_mask) if k]
-        self.right = [v for v, k in zip(self.right, keep_mask) if k]
+        self.left = self.left[keep_mask]
+        self.right = self.right[keep_mask]
         self.prods = self.prods[keep_mask]
         self.weights = self.weights[keep_mask]
         self.weights = self.weights / np.sum(self.weights)
@@ -179,8 +189,7 @@ class _Atoms:
             self.drop(mask)
 
     def snapshot(self):
-        return (self.weights.copy(), [v.copy() for v in self.left],
-                [v.copy() for v in self.right])
+        return self.weights, self.left, self.right
 
 
 def _reoptimize_weights(atoms: _Atoms, objective: Objective,
@@ -233,42 +242,37 @@ def _line_search(objective: Objective, sigma: np.ndarray,
 
 def ree_upper(rho: DensityMatrix, cut: Bipartition,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
-              cfg: optim.OptimizerConfig | None = None,
+              seed: int = 0,
               max_iters: int = 200) -> tuple[float, SeparableEnsemble]:
     """Upper bound on the entanglement of rho across the cut.
 
     Returns the achieved distance together with the separable ensemble
-    that achieves it.  The value is recomputed from the returned ensemble,
-    so it is a sound upper bound by construction.
+    (stacked rows, see SeparableEnsemble) that achieves it.  The value is
+    recomputed from the returned ensemble, so it is a sound upper bound by
+    construction.  The seed addresses the product oracle's random starts;
+    it is the only setting the search reads.
 
     The ensemble holds at most (dx*dy)**2 product terms: by Caratheodory's
     theorem that many reach every separable state of the cut, so the cap
     never shrinks the set searched.
     """
-    cfg = cfg or optim.OptimizerConfig()
     rc, dx, dy = _to_cut_order(rho, cut)
-    objective = Objective(rc.mat, kind)
-    ensemble = _conditional_gradient(rc, dx, dy, objective, cut,
-                                     (dx * dy) ** 2, cfg, max_iters)
+    weights, left, right = _conditional_gradient(Objective(rc.mat, kind),
+                                                 dx, dy, seed, max_iters)
+    ensemble = SeparableEnsemble(cut, weights, left, right)
     value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
     return float(value), ensemble
 
 
-def _marginal_product_atoms(rc: DensityMatrix, dx: int, dy: int) -> _Atoms:
+def _marginal_product_atoms(mat: np.ndarray, dx: int, dy: int) -> _Atoms:
     """Initial ensemble: eigen-decomposed product of marginals.  Its support
     always contains the state's support, so the search starts finite."""
-    rx = _trace_block(rc.mat, dx, dy, keep="x")
-    ry = _trace_block(rc.mat, dx, dy, keep="y")
-    wx, vx = np.linalg.eigh(rx)
-    wy, vy = np.linalg.eigh(ry)
-    atoms = _Atoms(dx, dy)
-    for i in range(dx):
-        for j in range(dy):
-            w = float(wx[i] * wy[j])
-            if w > 1e-14:
-                atoms.add(vx[:, i], vy[:, j], w)
-    atoms.weights = atoms.weights / np.sum(atoms.weights)
-    return atoms
+    wx, vx = np.linalg.eigh(_trace_block(mat, dx, dy, keep="x"))
+    wy, vy = np.linalg.eigh(_trace_block(mat, dx, dy, keep="y"))
+    w = (wx[:, None] * wy[None, :]).reshape(-1)
+    keep = np.flatnonzero(w > 1e-14)
+    i, j = np.divmod(keep, dy)
+    return _Atoms(vx.T[i], vy.T[j], w[keep] / np.sum(w[keep]))
 
 
 def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
@@ -278,9 +282,12 @@ def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
     return np.einsum("ijil->jl", t)
 
 
-def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
-                          max_iters) -> SeparableEnsemble:
-    atoms = _marginal_product_atoms(rc, dx, dy)
+def _conditional_gradient(objective: Objective, dx: int, dy: int, seed: int,
+                          max_iters: int):
+    """Search over ensembles of at most (dx*dy)**2 products; objective.rho
+    is the cut-ordered state.  Returns (weights, left, right) rows."""
+    cap = (dx * dy) ** 2
+    atoms = _marginal_product_atoms(objective.rho, dx, dy)
     atoms.prune(cap)
     f = _reoptimize_weights(atoms, objective)
     best_f, best_snap = f, atoms.snapshot()
@@ -293,7 +300,7 @@ def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
         sigma = atoms.sigma()
         grad = objective.gradient(sigma)
         b_starts = [atoms.right[int(np.argmax(atoms.weights))]] + comp_bs
-        b_starts += [rng.complex_normals(cfg.seed, (it << 1) | r, dy,
+        b_starts += [rng.complex_normals(seed, (it << 1) | r, dy,
                                          purpose=rng.PURPOSE_ORACLE)
                      for r in range(2)]
         e_min, a, b = _alternating_oracle(grad, dx, dy, b_starts)
@@ -330,8 +337,7 @@ def _conditional_gradient(rc, dx, dy, objective, cut, cap, cfg,
     if f < best_f:
         best_f, best_snap = f, atoms.snapshot()
     weights, left, right = best_snap
-    return SeparableEnsemble(cut, weights / np.sum(weights),
-                             tuple(left), tuple(right))
+    return weights / np.sum(weights), left, right
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:

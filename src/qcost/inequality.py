@@ -55,6 +55,16 @@ class AuditReport:
     tolerance: float
     extra: dict = field(default_factory=dict)
 
+    @property
+    def powered(self) -> bool:
+        """Whether the sample could have failed: every certified lower
+        bound its slack subtracts is positive, or, for an exact check, the
+        check is asserted."""
+        lowers = [q.value for q in self.quantities.values() if q.tag == TAG_LOWER]
+        if lowers:
+            return all(v > 0.0 for v in lowers)
+        return self.extra.get("asserted", True)
+
     def to_json_dict(self) -> dict:
         out = {
             "check_name": self.check_name,
@@ -141,7 +151,7 @@ def main_inequality_audit(rho: DensityMatrix,
         raise InputError(f"audit expects labels (A, B, C), got {rho.labels}")
     lower_e_final = coherent_info_lower(rho, Bipartition(("A",), ("B", "C")))
     upper_e_init, _ = ree_upper(rho, Bipartition(("A", "C"), ("B",)),
-                                cfg=cfg, max_iters=_AUDIT_REE_ITERS)
+                                seed=cfg.seed, max_iters=_AUDIT_REE_ITERS)
     upper_delta, _ = one_way_deficit(rho, "C", DistanceKind.RELATIVE_ENTROPY, cfg)
     slack = upper_delta + upper_e_init - lower_e_final
     return AuditReport(
@@ -232,6 +242,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
                     subsystem: str | None = None,
                     cfg: OptimizerConfig | None = None) -> AuditReport:
     """Audit one counter-addressed random sample of a campaign."""
+    cfg = cfg or OptimizerConfig(seed=seed)
     sub = subsystem or dims.labels[-1]
     state_id = _campaign_state_id(check, seed, index)
     d_sub = dims.dim_of(sub)
@@ -249,8 +260,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
         return dpi_check(rho, sigma, basis, kind, state_id=state_id)
     if check == "main":
         rho = ginibre_mixed(dims, dims.total_dim, seed, index)
-        local_cfg = cfg or OptimizerConfig(seed=seed)
-        return main_inequality_audit(rho, local_cfg, state_id=state_id)
+        return main_inequality_audit(rho, cfg, state_id=state_id)
     if check == "pure-chain":
         return pure_chain_check(haar_pure(dims, seed, index), dims,
                                 state_id=state_id)
@@ -263,7 +273,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
     if check == "protocol":
         from .protocol import random_script, run_protocol
         script = random_script(seed, index)
-        ledger = run_protocol(script, cfg or OptimizerConfig(seed=seed))
+        ledger = run_protocol(script, cfg)
         return AuditReport(
             "protocol", state_id,
             {
@@ -271,8 +281,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
                 "E_initial_upper": Quantity(ledger.e_initial_upper, TAG_UPPER),
                 "E_final_lower": Quantity(ledger.e_final_lower, TAG_LOWER),
             },
-            ledger.budget_slack, ledger.violated or not ledger.locc_ok,
-            TOL_OPTIMIZER,
+            ledger.budget_slack, ledger.failed, TOL_OPTIMIZER,
             extra={"n_sends": len(ledger.deltas), "locc_ok": ledger.locc_ok},
         )
     raise InputError(f"unknown campaign check {check!r}; one of {CAMPAIGN_CHECKS}")
@@ -297,7 +306,6 @@ def run_campaign(check: str, dims: SubsystemDims, samples: int, seed: int,
     by sample index regardless of execution order."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    cfg = cfg or OptimizerConfig(seed=seed)
     workers = workers if workers is not None else campaign_workers()
     workers = max(1, min(workers, samples))
     sample = partial(campaign_sample, check, dims, seed,
@@ -312,6 +320,7 @@ def run_campaign(check: str, dims: SubsystemDims, samples: int, seed: int,
         "check": check,
         "samples": samples,
         "violations": int(sum(r.violated for r in reports)),
+        "powered": int(sum(r.powered for r in reports)),
         "min_slack": float(min(slacks)),
         "max_abs_slack": float(max(abs(s) for s in slacks)),
         "seed": seed,

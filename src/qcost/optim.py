@@ -18,20 +18,20 @@ from scipy.optimize import minimize as _scipy_minimize
 from . import rng
 from .qmat import InputError
 
+# Nelder-Mead termination tolerances on the simplex and on its values.
+XTOL = 1e-8
+FTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 20
     max_evals_per_start: int = 20000
-    xtol: float = 1e-8
-    ftol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_evals_per_start < 1:
             raise InputError("restarts and max_evals_per_start must be >= 1")
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise InputError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def minimize(objective: Callable[[np.ndarray], float], dim: int,
             safe, x0, method="Nelder-Mead",
             options={
                 "maxfev": cfg.max_evals_per_start,
-                "xatol": cfg.xtol,
-                "fatol": cfg.ftol,
+                "xatol": XTOL,
+                "fatol": FTOL,
             },
         )
         evals += int(res.nfev)

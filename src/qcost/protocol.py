@@ -109,6 +109,12 @@ class LedgerReport:
     def locc_ok(self) -> bool:
         return all(not c["violated"] for c in self.locc_checks)
 
+    @property
+    def failed(self) -> bool:
+        """The run's verdict: the budget is violated or a local step
+        raised the entanglement across the lab cut."""
+        return self.violated or not self.locc_ok
+
     def to_json_dict(self) -> dict:
         return {
             "E_initial": {"lower": self.e_initial_lower, "upper": self.e_initial_upper},
@@ -155,7 +161,7 @@ def run_protocol(script: ProtocolScript,
     owner = script.initial_owner_of_c
 
     initial_cut = ownership_cut(owner)
-    e_init_upper, _ = ree_upper(rho, initial_cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
+    e_init_upper, _ = ree_upper(rho, initial_cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
     e_init_lower = coherent_info_lower(rho, initial_cut)
 
     deltas: list[float] = []
@@ -174,7 +180,7 @@ def run_protocol(script: ProtocolScript,
             # local channels cannot raise entanglement across the lab cut:
             # the post-step lower bound must stay under the pre-step upper
             cut = ownership_cut(owner)
-            pre_upper, _ = ree_upper(rho, cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
+            pre_upper, _ = ree_upper(rho, cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
             rho = apply_local_channel(rho, step.party, step.kraus, owner)
             post_lower = coherent_info_lower(rho, cut)
             slack = float(pre_upper - post_lower)
@@ -190,7 +196,7 @@ def run_protocol(script: ProtocolScript,
 
     final_cut = ownership_cut(owner)
     e_final_lower = coherent_info_lower(rho, final_cut)
-    e_final_upper, _ = ree_upper(rho, final_cut, cfg=cfg, max_iters=_LEDGER_REE_ITERS)
+    e_final_upper, _ = ree_upper(rho, final_cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
 
     budget_slack = float(sum(deltas) - (e_final_lower - e_init_upper))
     return LedgerReport(

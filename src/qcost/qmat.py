@@ -13,6 +13,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,8 +41,8 @@ class SubsystemDims:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         try:
-            object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        except (TypeError, ValueError):
+            object.__setattr__(self, "dims", tuple(operator.index(d) for d in self.dims))
+        except TypeError:
             raise InputError(f"dims must be integers, got {self.dims!r}") from None
         if len(self.labels) != len(self.dims):
             raise InputError("labels and dims must have equal length")
@@ -348,6 +349,8 @@ def state_from_json_dict(data: dict) -> DensityMatrix:
         matrix = data["matrix"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"state file missing field: {exc}") from exc
+    if not isinstance(labels, list) or not isinstance(dims, list):
+        raise InputError("state file labels and dims must be JSON arrays")
     sd = SubsystemDims(tuple(labels), tuple(dims))
     return DensityMatrix(matrix_from_json(matrix), sd)
 

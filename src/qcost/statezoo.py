@@ -43,10 +43,10 @@ def eta_state() -> DensityMatrix:
 def eta_separable_ensemble(cut_left: str = "AC"):
     """Exact six-term product decomposition of eta across AC|B or AB|C.
 
-    Returns (weights, left_vectors, right_vectors) in the local basis of
-    the cut (left factor 4-dimensional, right factor a qubit).  The four
-    phase terms decompose the GHZ-subspace Bell-diagonal block, the two
-    computational terms carry the remaining diagonal weight.
+    Returns (weights, left, right) as stacked rows in the local basis of
+    the cut: left (6, 4) on the grouped left factor, right (6, 2) on the
+    qubit.  The four phase terms decompose the GHZ-subspace Bell-diagonal
+    block, the two computational terms carry the remaining diagonal weight.
     """
     if cut_left not in ("AC", "AB"):
         raise InputError("eta is only separable across AC|B and AB|C")
@@ -69,7 +69,7 @@ def eta_separable_ensemble(cut_left: str = "AC"):
     left += [e0, e1]
     right += [np.array([1.0, 0j]), np.array([0j, 1.0])]
     weights = np.full(6, 1.0 / 6.0)
-    return weights, left, right
+    return weights, np.array(left), np.array(right)
 
 
 def haar_pure(dims: SubsystemDims, seed: int, index: int) -> np.ndarray:

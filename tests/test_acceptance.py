@@ -99,7 +99,8 @@ def test_criterion_5_main_inequality_campaign(capsys):
         report(5, "central cost bound on 200 Ginibre states, sound directions",
                summary["violations"] == 0 and summary["min_slack"] >= -1e-6
                and elapsed <= 1800.0,
-               f"min slack {summary['min_slack']:.3e}, {elapsed:.0f}s")
+               f"min slack {summary['min_slack']:.3e}, "
+               f"powered {summary['powered']}/200, {elapsed:.0f}s")
 
 
 def _schmidt_entropy_oracle(psi: np.ndarray) -> float:
@@ -126,7 +127,7 @@ def test_criterion_6_optimizer_calibration(capsys):
     for i in range(20):
         psi = haar_pure(TWOQ, SEED, i)
         exact = _schmidt_entropy_oracle(psi)
-        value, _ = ree_upper(vector_state(psi, TWOQ), cut, cfg=CFG)
+        value, _ = ree_upper(vector_state(psi, TWOQ), cut, seed=SEED)
         err = value - exact
         worst_ree = max(worst_ree, err)
         ree_ok = ree_ok and (-1e-9 <= err <= 2e-3)

@@ -73,12 +73,15 @@ class TestGenAndMeasure:
     def test_non_integer_dims(self, tmp_path, capsys):
         data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
                                                 TRIPARTITE_QUBITS))
-        data["dims"] = [2, "x", 2]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        for argv in (["measure", str(path)], ["ree", str(path), "--cut", "A|BC"]):
-            code, _ = run_cli(capsys, *argv)
-            assert code == 2
+        # a float or a string would otherwise be coerced to (2, 2, 2)
+        for dims in ([2, "x", 2], [2.7, 2, 2], "222"):
+            data["dims"] = dims
+            path.write_text(json.dumps(data))
+            for argv in (["measure", str(path)],
+                         ["ree", str(path), "--cut", "A|BC"]):
+                code, _ = run_cli(capsys, *argv)
+                assert code == 2, (dims, argv)
 
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "measure", "/does/not/exist.json")
@@ -104,6 +107,10 @@ class TestGenAndMeasure:
         # the REE search reads only the seed of the optimizer settings
         with pytest.raises(SystemExit) as exc:
             cli.main(["ree", path, "--cut", "A|BC", "--restarts", "1"])
+        assert exc.value.code == 2
+        # the Nelder-Mead tolerances are fixed constants
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["deficit", path, "--xtol", "1e-6"])
         assert exc.value.code == 2
         # every campaign check samples its own states
         with pytest.raises(SystemExit) as exc:
@@ -234,8 +241,10 @@ class TestCampaignCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].split("\t") == ["check", "samples", "violations",
-                                        "min_slack", "max_abs_slack", "seed"]
+                                        "powered", "min_slack",
+                                        "max_abs_slack", "seed"]
         assert lines[1].split("\t")[1] == "5"
+        assert lines[1].split("\t")[3] == "5"  # an exact identity can always fail
 
     def test_violation_exit_code(self, capsys, monkeypatch):
         from qcost.inequality import AuditReport

@@ -7,7 +7,6 @@ from qcost.entanglement import (SeparableEnsemble, _alternating_oracle,
                                 measured_separable_upper, ppt_min_eigenvalue,
                                 pure_state_entanglement, ree_upper)
 from qcost.measures import DistanceKind, relative_entropy, vn_entropy
-from qcost.optim import OptimizerConfig
 from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
                         partial_trace, vector_state)
 from qcost.quantumness import computational_basis, measure_channel
@@ -21,7 +20,7 @@ CUT_AB = Bipartition(("A",), ("B",))
 CUT_A_BC = Bipartition.parse("A|BC", ("A", "B", "C"))
 CUT_AC_B = Bipartition.parse("AC|B", ("A", "B", "C"))
 CUT_AB_C = Bipartition.parse("AB|C", ("A", "B", "C"))
-CFG = OptimizerConfig(seed=2)
+SEED = 2
 
 
 def random_separable(dims, cut, terms, seed):
@@ -35,21 +34,21 @@ def random_separable(dims, cut, terms, seed):
         b = gen.normal(size=dy) + 1j * gen.normal(size=dy)
         left.append(a / np.linalg.norm(a))
         right.append(b / np.linalg.norm(b))
-    return SeparableEnsemble(cut, w, tuple(left), tuple(right))
+    return SeparableEnsemble(cut, w, np.array(left), np.array(right))
 
 
 class TestEnsembleToState:
     def test_single_product(self):
         e = SeparableEnsemble(CUT_AB, np.array([1.0]),
-                              (np.array([1.0, 0j]),), (np.array([1.0, 0j]),))
+                              np.array([[1.0, 0j]]), np.array([[1.0, 0j]]))
         rho = ensemble_to_state(e, TWOQ)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert_allclose(rho.mat, expected, atol=1e-14)
 
     def test_classical_mixture(self):
-        e0, e1 = np.array([1.0, 0j]), np.array([0j, 1.0])
-        e = SeparableEnsemble(CUT_AB, np.array([0.5, 0.5]), (e0, e1), (e0, e1))
+        rows = np.eye(2, dtype=complex)
+        e = SeparableEnsemble(CUT_AB, np.array([0.5, 0.5]), rows, rows)
         rho = ensemble_to_state(e, TWOQ)
         assert_allclose(np.diag(rho.mat).real, [0.5, 0, 0, 0.5], atol=1e-14)
         assert vn_entropy(rho) == pytest.approx(1.0, abs=1e-12)
@@ -63,21 +62,36 @@ class TestEnsembleToState:
     def test_eta_decomposition_is_exact(self):
         eta = eta_state()
         for cut, left in ((CUT_AC_B, "AC"), (CUT_AB_C, "AB")):
-            w, lv, rv = eta_separable_ensemble(left)
-            e = SeparableEnsemble(cut, w, tuple(lv), tuple(rv))
+            e = SeparableEnsemble(cut, *eta_separable_ensemble(left))
             assert np.max(np.abs(ensemble_to_state(e, TRIPARTITE_QUBITS).mat
                                  - eta.mat)) <= 1e-15
 
     def test_weight_and_norm_validation(self):
-        v = np.array([1.0, 0j])
+        v = np.array([[1.0, 0j]])
         with pytest.raises(InputError):
-            SeparableEnsemble(CUT_AB, np.array([0.7, 0.7]), (v, v), (v, v))
+            SeparableEnsemble(CUT_AB, np.array([0.7, 0.7]), np.vstack([v, v]),
+                              np.vstack([v, v]))
         with pytest.raises(InputError):
-            SeparableEnsemble(CUT_AB, np.array([1.0]), (2 * v,), (v,))
+            SeparableEnsemble(CUT_AB, np.array([1.0]), 2 * v, v)
+        with pytest.raises(InputError):  # row counts differ
+            SeparableEnsemble(CUT_AB, np.array([1.0]), v, np.vstack([v, v]))
+        with pytest.raises(InputError):  # NaN weights and rows are rejected
+            SeparableEnsemble(CUT_AB, np.array([np.nan]), v, v)
+        with pytest.raises(InputError):
+            SeparableEnsemble(CUT_AB, np.array([1.0]), np.array([[np.nan, 1.0]]), v)
+
+    def test_rows_are_read_only_copies(self):
+        rows = np.eye(2, dtype=complex)
+        e = SeparableEnsemble(CUT_AB, np.array([0.5, 0.5]), rows, rows)
+        rows[0, 0] = 0.0
+        assert e.left[0, 0] == 1.0
+        for arr in (e.weights, e.left, e.right):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_dimension_mismatch(self):
-        v3 = np.array([1.0, 0j, 0j])
-        e = SeparableEnsemble(CUT_AB, np.array([1.0]), (v3,), (v3[:2],))
+        v3 = np.array([[1.0, 0j, 0j]])
+        e = SeparableEnsemble(CUT_AB, np.array([1.0]), v3, v3[:, :2])
         with pytest.raises(InputError):
             ensemble_to_state(e, TWOQ)
 
@@ -86,11 +100,11 @@ class TestReeUpper:
     def test_separable_input_goes_to_zero(self):
         e = random_separable(TWOQ, CUT_AB, 6, 3)
         rho = ensemble_to_state(e, TWOQ)
-        value, _ = ree_upper(rho, CUT_AB, cfg=CFG)
+        value, _ = ree_upper(rho, CUT_AB, seed=SEED)
         assert 0.0 <= value <= 1e-4
 
     def test_bell_state(self):
-        value, ensemble = ree_upper(bell_dm(), CUT_AB, cfg=CFG)
+        value, ensemble = ree_upper(bell_dm(), CUT_AB, seed=SEED)
         assert 1.0 - 1e-9 <= value <= 1.0 + 1e-3
         sigma = ensemble_to_state(ensemble, TWOQ)
         assert relative_entropy(bell_dm(), sigma) == pytest.approx(value, abs=1e-12)
@@ -98,31 +112,31 @@ class TestReeUpper:
     def test_eta_separable_cuts(self):
         eta = eta_state()
         for cut in (CUT_AC_B, CUT_AB_C):
-            value, _ = ree_upper(eta, cut, cfg=CFG)
+            value, _ = ree_upper(eta, cut, seed=SEED)
             assert value <= 1e-3
 
     def test_trace_kind_upper_bounds(self):
         # the dephased Bell state certifies a trace-distance value of 1/2
-        value, ensemble = ree_upper(bell_dm(), CUT_AB, DistanceKind.TRACE, cfg=CFG)
+        value, ensemble = ree_upper(bell_dm(), CUT_AB, DistanceKind.TRACE, seed=SEED)
         assert -1e-9 <= value <= 0.5 + 1e-6
         assert ensemble_to_state(ensemble, TWOQ).dims.dims == (2, 2)
 
     def test_bures_kind_upper_bounds(self):
-        value, _ = ree_upper(bell_dm(), CUT_AB, DistanceKind.BURES, cfg=CFG)
+        value, _ = ree_upper(bell_dm(), CUT_AB, DistanceKind.BURES, seed=SEED)
         exact_f = 0.5  # max product-state overlap with a Bell state
         assert -1e-9 <= value <= 2 * (1 - np.sqrt(exact_f)) + 1e-3
 
     @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda k: k.value)
     def test_pure_product_reached_with_one_term(self, kind):
         rho = vector_state(np.kron([1, 0], [0, 1]).astype(complex), TWOQ)
-        value, ensemble = ree_upper(rho, CUT_AB, kind, cfg=CFG)
+        value, ensemble = ree_upper(rho, CUT_AB, kind, seed=SEED)
         assert value <= 1e-8
         assert len(ensemble) == 1
 
     def test_ensemble_within_caratheodory_cap(self):
         # dx = 4, dy = 2 on AC|B: at most (4*2)**2 product terms
         rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 30, 0)
-        _, ensemble = ree_upper(rho, CUT_AC_B, cfg=CFG, max_iters=40)
+        _, ensemble = ree_upper(rho, CUT_AC_B, seed=SEED, max_iters=40)
         assert len(ensemble) <= (4 * 2) ** 2
 
 
@@ -222,12 +236,12 @@ class TestInvariants:
         for mat, dims, cut in zip(states, dims_list, cuts):
             rho = DensityMatrix(mat, dims)
             lower = coherent_info_lower(rho, cut)
-            upper, _ = ree_upper(rho, cut, cfg=CFG)
+            upper, _ = ree_upper(rho, cut, seed=SEED)
             assert lower <= upper + 1e-6
         for i in range(3):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 35, i)
             lower = coherent_info_lower(rho, CUT_AC_B)
-            upper, _ = ree_upper(rho, CUT_AC_B, cfg=CFG)
+            upper, _ = ree_upper(rho, CUT_AC_B, seed=SEED)
             assert lower <= upper + 1e-6
 
     def test_pure_tripartite_convergence(self):
@@ -235,7 +249,7 @@ class TestInvariants:
             psi = haar_pure(TRIPARTITE_QUBITS, 36, i)
             rho = vector_state(psi, TRIPARTITE_QUBITS)
             exact = pure_state_entanglement(psi, CUT_A_BC, TRIPARTITE_QUBITS)
-            value, _ = ree_upper(rho, CUT_A_BC, cfg=CFG)
+            value, _ = ree_upper(rho, CUT_A_BC, seed=SEED)
             assert exact - 1e-9 <= value <= exact + 2e-3
 
 
@@ -289,12 +303,12 @@ class TestQuditSupport:
         psi = np.zeros(6, dtype=complex)
         psi[0] = psi[4] = 1 / np.sqrt(2)  # (|0,0> + |1,1>)/sqrt(2), qutrit B
         rho = vector_state(psi, self.D23)
-        value, _ = ree_upper(rho, self.CUT, cfg=CFG)
+        value, _ = ree_upper(rho, self.CUT, seed=SEED)
         assert 1.0 - 1e-9 <= value <= 1.0 + 2e-3
         assert coherent_info_lower(rho, self.CUT) == pytest.approx(1.0, abs=1e-9)
         assert ppt_min_eigenvalue(rho, self.CUT) < -1e-6
 
     def test_ginibre_bounds_ordered(self):
         rho = ginibre_mixed(self.D23, 6, 77, 0)
-        upper, _ = ree_upper(rho, self.CUT, cfg=CFG)
+        upper, _ = ree_upper(rho, self.CUT, seed=SEED)
         assert coherent_info_lower(rho, self.CUT) <= upper + 1e-6

@@ -225,8 +225,8 @@ class TestCampaign:
     def test_summary_schema(self):
         _, summary = run_campaign("pure-chain", TRIPARTITE_QUBITS, 10, 54,
                                   workers=1)
-        assert set(summary) == {"check", "samples", "violations", "min_slack",
-                                "max_abs_slack", "seed"}
+        assert set(summary) == {"check", "samples", "violations", "powered",
+                                "min_slack", "max_abs_slack", "seed"}
         assert summary["samples"] == 10
         assert summary["seed"] == 54
 
@@ -286,6 +286,23 @@ class TestCampaign:
         assert report.slack > 0
         assert report.violated
         assert report.extra["locc_ok"] is False
+
+    def test_exact_identity_always_powered(self):
+        _, summary = run_campaign("collinearity", TRIPARTITE_QUBITS, 4, 60,
+                                  workers=1)
+        assert summary["powered"] == summary["samples"] == 4
+
+    def test_bures_distance_chain_never_powered(self):
+        _, summary = run_campaign("distance-chain", TRIPARTITE_QUBITS, 4, 60,
+                                  kind=DistanceKind.BURES, workers=1)
+        assert summary["powered"] == 0
+
+    def test_main_full_rank_not_powered(self):
+        # the coherent-information lower bound is 0 at full rank
+        reports, summary = run_campaign("main", TRIPARTITE_QUBITS, 2, 61,
+                                        workers=1)
+        assert summary["powered"] == 0
+        assert all(r.quantities["E_A|BC_lower"].value == 0.0 for r in reports)
 
     def test_bipartite_dims_supported(self):
         _, summary = run_campaign("collinearity", TWOQ, 10, 58, workers=1)

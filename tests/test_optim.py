@@ -72,8 +72,6 @@ class TestMinimize:
     def test_config_validation(self):
         with pytest.raises(InputError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(InputError):
-            OptimizerConfig(xtol=0.0)
 
 
 class TestParamToUnitary:
