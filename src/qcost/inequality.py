@@ -26,7 +26,8 @@ from .measures import DistanceKind, distance, relative_entropy, vn_entropy
 from .optim import OptimizerConfig
 from .qmat import Bipartition, DensityMatrix, InputError, SubsystemDims, \
     partial_trace, vector_state
-from .quantumness import MeasurementBasis, measure_channel, one_way_deficit
+from .quantumness import MeasurementBasis, computational_basis, \
+    deficit_for_basis, measure_channel, one_way_deficit
 from .statezoo import ginibre_mixed, haar_pure, haar_unitary
 
 TAG_EXACT = "exact"
@@ -145,14 +146,33 @@ def main_inequality_audit(rho: DensityMatrix,
     slack = upper(delta C|AB) + upper(E AC|B) - lower(E A|BC); the single
     lower bound sits on the entanglement being explained, so slack <
     -tolerance falsifies the inequality rather than the optimizers.
+
+    When that lower bound is not positive the slack is a sum of two
+    nonnegative upper bounds and cannot fail, so neither search runs and
+    the report carries ``"vacuous": True`` (exactly when it is not
+    ``powered``).  The uppers are then the searches' own starting points,
+    in closed form: the computational-basis deficit on C, and
+    S(AC) + S(B) - S = S(rho || rho_AC (x) rho_B), the relative entropy to
+    a product state.  They are looser than the searched values, so the
+    slack of a vacuous sample is no measure of tightness.
     """
     cfg = cfg or OptimizerConfig()
     if tuple(rho.labels) != ("A", "B", "C"):
         raise InputError(f"audit expects labels (A, B, C), got {rho.labels}")
     lower_e_final = coherent_info_lower(rho, Bipartition(("A",), ("B", "C")))
-    upper_e_init, _ = ree_upper(rho, Bipartition(("A", "C"), ("B",)),
-                                seed=cfg.seed, max_iters=_AUDIT_REE_ITERS)
-    upper_delta, _ = one_way_deficit(rho, "C", DistanceKind.RELATIVE_ENTROPY, cfg)
+    if lower_e_final > 0.0:
+        upper_e_init, _ = ree_upper(rho, Bipartition(("A", "C"), ("B",)),
+                                    seed=cfg.seed, max_iters=_AUDIT_REE_ITERS)
+        upper_delta, _ = one_way_deficit(rho, "C", DistanceKind.RELATIVE_ENTROPY,
+                                         cfg)
+        extra = {}
+    else:
+        upper_e_init = (vn_entropy(partial_trace(rho, ("B",)))
+                        + vn_entropy(partial_trace(rho, ("A", "C")))
+                        - vn_entropy(rho))
+        upper_delta = deficit_for_basis(
+            rho, computational_basis("C", rho.dims.dim_of("C")))
+        extra = {"vacuous": True}
     slack = upper_delta + upper_e_init - lower_e_final
     return AuditReport(
         "main", state_id,
@@ -161,7 +181,7 @@ def main_inequality_audit(rho: DensityMatrix,
             "E_AC|B_upper": Quantity(float(upper_e_init), TAG_UPPER),
             "delta_C|AB_upper": Quantity(float(upper_delta), TAG_UPPER),
         },
-        float(slack), bool(slack < -tolerance), tolerance,
+        float(slack), bool(slack < -tolerance), tolerance, extra=extra,
     )
 
 

@@ -260,6 +260,26 @@ class TestCampaignCommand:
                           "--samples", "1")
         assert code == 1
 
+    def test_inflated_lower_bound_fails_main_campaign(self, capsys,
+                                                      monkeypatch):
+        # negative control: raising the certified lower bound by 1 powers
+        # every full-rank sample, so the searches run and the bound fails;
+        # one worker keeps the patch in this process
+        import qcost.inequality as inequality
+        lower = inequality.coherent_info_lower
+        monkeypatch.setattr(inequality, "coherent_info_lower",
+                            lambda rho, cut: lower(rho, cut) + 1.0)
+        code, out = run_cli(capsys, "campaign", "--check", "main",
+                            "--samples", "2", "--workers", "1")
+        assert code == 1
+        lines = out.strip().splitlines()
+        reports = [json.loads(line) for line in lines[:2]]
+        summary = json.loads("\n".join(lines[2:]))["summary"]
+        assert summary["violations"] == 2
+        assert summary["powered"] == 2
+        assert all(r["violated"] and "vacuous" not in r for r in reports)
+        assert "vacuous" not in out
+
     def test_bad_dims(self, capsys):
         code, _ = run_cli(capsys, "campaign", "--check", "pure-chain",
                           "--dims", "2,x")

@@ -7,10 +7,10 @@ from qcost.inequality import (AuditReport, Quantity, TAG_EXACT, TAG_LOWER,
                               TAG_UPPER, collinearity_check, dpi_check,
                               distance_chain_check, main_inequality_audit,
                               pure_chain_check, run_campaign)
-from qcost.measures import DistanceKind
+from qcost.measures import DistanceKind, relative_entropy
 from qcost.optim import OptimizerConfig
 from qcost.qmat import (DensityMatrix, InputError, SubsystemDims, embed_local,
-                        vector_state)
+                        partial_trace, permute_subsystems, vector_state)
 from qcost.quantumness import MeasurementBasis, computational_basis, \
     measure_channel
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
@@ -133,6 +133,60 @@ class TestMainInequality:
         assert summary["violations"] == 0
         assert summary["min_slack"] >= -1e-6
 
+    def test_vacuous_audits_run_no_search(self, monkeypatch):
+        # full rank: the coherent-information lower bound is 0, so the
+        # slack cannot fail and neither search may run
+        import qcost.inequality as inequality
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a vacuous audit ran a search")
+        monkeypatch.setattr(inequality, "ree_upper", no_search)
+        monkeypatch.setattr(inequality, "one_way_deficit", no_search)
+        seed = 62
+        reports, summary = run_campaign("main", TRIPARTITE_QUBITS, 3, seed,
+                                        workers=1)
+        assert summary["violations"] == 0
+        assert summary["powered"] == 0
+        for i, report in enumerate(reports):
+            assert report.extra == {"vacuous": True}
+            assert report.to_json_dict()["vacuous"] is True
+            assert not report.violated
+            q = {k: v.value for k, v in report.quantities.items()}
+            assert q["E_A|BC_lower"] == 0.0
+            rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, seed, i)
+            product = DensityMatrix(
+                np.kron(partial_trace(rho, ("B",)).mat,
+                        partial_trace(rho, ("A", "C")).mat),
+                SubsystemDims(("A", "C", "B"), (2, 2, 2)))
+            product = permute_subsystems(product, ("A", "B", "C"))
+            assert q["E_AC|B_upper"] == pytest.approx(
+                relative_entropy(rho, product), abs=1e-12)
+            dephased = measure_channel(rho, computational_basis("C", 2))
+            assert q["delta_C|AB_upper"] == pytest.approx(
+                relative_entropy(rho, dephased), abs=1e-12)
+            assert report.slack == q["delta_C|AB_upper"] + q["E_AC|B_upper"]
+
+    @pytest.mark.parametrize("state", ["ghz", "rank-2"])
+    def test_powered_audits_search_once(self, monkeypatch, state):
+        import qcost.inequality as inequality
+        calls = {"ree_upper": 0, "one_way_deficit": 0}
+
+        def counted(name):
+            search = getattr(inequality, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return search(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(inequality, name, counted(name))
+        rho = ghz_state() if state == "ghz" \
+            else ginibre_mixed(TRIPARTITE_QUBITS, 2, 63, 0)
+        report = main_inequality_audit(rho, CFG)
+        assert report.powered
+        assert calls == {"ree_upper": 1, "one_way_deficit": 1}
+        assert "vacuous" not in report.to_json_dict()
+
 
 class TestPureChain:
     def test_ghz_slacks(self):
@@ -244,6 +298,15 @@ class TestCampaign:
         assert s1 == s2
         for a, b in zip(serial, parallel):
             assert a.to_json_dict() == b.to_json_dict()
+
+    def test_vacuous_main_parallel_matches_serial(self):
+        serial, s1 = run_campaign("main", TRIPARTITE_QUBITS, 4, 64, workers=1)
+        parallel, s2 = run_campaign("main", TRIPARTITE_QUBITS, 4, 64,
+                                    workers=2)
+        assert s1 == s2
+        assert all(r.extra == {"vacuous": True} for r in serial)
+        assert [json.dumps(r.to_json_dict()) for r in serial] == \
+            [json.dumps(r.to_json_dict()) for r in parallel]
 
     def test_repeat_runs_bit_identical(self):
         import json
