@@ -56,11 +56,9 @@ def _digest(path: str) -> str:
 
 
 def _config_echo(args) -> dict:
-    """The options the command takes; optimizer settings only where a
-    search reads them."""
-    echo = {key: getattr(args, key)
-            for key in ("seed", "restarts", "max_evals")
-            if hasattr(args, key)}
+    """The options the command takes; the seed only where something
+    reads it."""
+    echo = {"seed": args.seed} if hasattr(args, "seed") else {}
     echo["output"] = getattr(args, "output", None) or "stdout"
     echo["format"] = getattr(args, "format", "json")
     return echo
@@ -77,8 +75,7 @@ def _header(args, command: str, inputs=()) -> dict:
 
 
 def _cfg(args) -> OptimizerConfig:
-    return OptimizerConfig(restarts=args.restarts,
-                           max_evals_per_start=args.max_evals, seed=args.seed)
+    return OptimizerConfig(seed=args.seed)
 
 
 def _emit(args, payload: dict) -> None:
@@ -209,10 +206,9 @@ def cmd_eta(args) -> int:
 
 def cmd_campaign(args) -> int:
     dims = _parse_dims(args.dims)
-    kind = _KINDS[args.kind]
     reports, summary = run_campaign(args.check, dims, args.samples, args.seed,
-                                    kind=kind, subsystem=args.subsystem,
-                                    cfg=_cfg(args), workers=args.workers)
+                                    kind=_KINDS.get(args.kind),
+                                    workers=args.workers)
     header = _header(args, "campaign")
     header.update({"check": args.check, "dims": list(dims.dims),
                    "samples": args.samples})
@@ -254,7 +250,7 @@ def cmd_gen(args) -> int:
         rho = vector_state(haar_pure(dims, args.seed, args.index), dims)
     elif args.family == "ginibre":
         dims = _parse_dims(args.dims)
-        rank = args.rank if args.rank else dims.total_dim
+        rank = dims.total_dim if args.rank is None else args.rank
         rho = ginibre_mixed(dims, rank, args.seed, args.index)
     else:
         raise InputError(f"unknown family {args.family!r}")
@@ -275,8 +271,6 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
     _add_output(p)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-evals", dest="max_evals", type=int, default=20000)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--cut", required=True, help='bipartition such as "A|BC"')
     p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")
-    p.add_argument("--seed", type=int, default=42)
-    _add_output(p)
+    _add_common(p)
     p.set_defaults(func=cmd_ree)
 
     p = sub.add_parser("eta", help="reproduce the worked three-qubit example")
@@ -317,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True, choices=CAMPAIGN_CHECKS)
     p.add_argument("--dims", default="2,2,2")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")
-    p.add_argument("--subsystem", default=None)
+    p.add_argument("--kind", choices=tuple(_KINDS), default=None,
+                   help="distance kind (default: the check's own; only "
+                        "dpi and distance-chain take another)")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: QCOST_THREADS or machine)")
     p.add_argument("--format", choices=("json", "tsv"), default="json")

@@ -178,10 +178,7 @@ class _Atoms:
         self.weights = self.weights / np.sum(self.weights)
 
     def prune(self, cap: int, floor: float = _WEIGHT_FLOOR):
-        mask = self.weights > floor
-        if np.sum(mask) < 1:
-            mask = self.weights >= np.max(self.weights)
-        self.drop(mask)
+        self.drop(self.weights > floor)
         if len(self.weights) > cap:
             order = np.argsort(self.weights)[::-1][:cap]
             mask = np.zeros(len(self.weights), dtype=bool)

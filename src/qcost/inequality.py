@@ -249,28 +249,48 @@ def distance_chain_check(rho: DensityMatrix, sigma: DensityMatrix,
 # Randomized campaigns.
 # ----------------------------------------------------------------------
 
-CAMPAIGN_CHECKS = ("collinearity", "dpi", "main", "pure-chain",
-                   "distance-chain", "protocol")
+# The distance kinds each campaign check audits, its default first.
+_RE_ONLY = (DistanceKind.RELATIVE_ENTROPY,)
+_CHECK_KINDS = {"collinearity": _RE_ONLY, "dpi": tuple(DistanceKind),
+                "main": _RE_ONLY, "pure-chain": _RE_ONLY,
+                "distance-chain": (DistanceKind.TRACE, DistanceKind.BURES),
+                "protocol": _RE_ONLY}
+CAMPAIGN_CHECKS = tuple(_CHECK_KINDS)
 
 
 def _campaign_state_id(check: str, seed: int, index: int) -> str:
     return f"{check}-{seed}-{index}"
 
 
+def _campaign_kind(check: str, dims: SubsystemDims,
+                   kind: DistanceKind | None) -> DistanceKind:
+    """The kind `check` audits: `kind`, or the check's default when None.
+    A kind or dims the check would not audit is an input error, so no
+    campaign reports a pass on a claim it never tested."""
+    if check not in _CHECK_KINDS:
+        raise InputError(f"unknown campaign check {check!r}; one of {CAMPAIGN_CHECKS}")
+    kinds = _CHECK_KINDS[check]
+    kind = kinds[0] if kind is None else kind
+    if kind not in kinds:
+        raise InputError(f"campaign check {check!r} audits only "
+                         f"{', '.join(k.value for k in kinds)}, not {kind.value}")
+    if check == "protocol" and dims.dims != (2, 2, 2):
+        raise InputError(f"the protocol check runs (2, 2, 2) scripts, not {dims.dims}")
+    return kind
+
+
 def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
-                    kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
-                    subsystem: str | None = None,
-                    cfg: OptimizerConfig | None = None) -> AuditReport:
-    """Audit one counter-addressed random sample of a campaign."""
-    cfg = cfg or OptimizerConfig(seed=seed)
-    sub = subsystem or dims.labels[-1]
+                    kind: DistanceKind | None = None) -> AuditReport:
+    """Audit one counter-addressed random sample of a campaign; the
+    measured subsystem is the last label."""
+    kind = _campaign_kind(check, dims, kind)
     state_id = _campaign_state_id(check, seed, index)
-    d_sub = dims.dim_of(sub)
 
     def pair():
         rho = ginibre_mixed(dims, dims.total_dim, seed, 2 * index)
         sigma = ginibre_mixed(dims, dims.total_dim, seed, 2 * index + 1)
-        basis = MeasurementBasis(sub, haar_unitary(d_sub, seed, index))
+        basis = MeasurementBasis(dims.labels[-1],
+                                 haar_unitary(dims.dims[-1], seed, index))
         return rho, sigma, basis
 
     if check == "collinearity":
@@ -280,31 +300,25 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
         return dpi_check(rho, sigma, basis, kind, state_id=state_id)
     if check == "main":
         rho = ginibre_mixed(dims, dims.total_dim, seed, index)
-        return main_inequality_audit(rho, cfg, state_id=state_id)
+        return main_inequality_audit(rho, OptimizerConfig(seed=seed),
+                                     state_id=state_id)
     if check == "pure-chain":
         return pure_chain_check(haar_pure(dims, seed, index), dims,
                                 state_id=state_id)
     if check == "distance-chain":
-        rho, sigma, basis = pair()
-        chain_kind = kind if kind is not DistanceKind.RELATIVE_ENTROPY \
-            else DistanceKind.TRACE
-        return distance_chain_check(rho, sigma, basis, chain_kind,
-                                    state_id=state_id)
-    if check == "protocol":
-        from .protocol import random_script, run_protocol
-        script = random_script(seed, index)
-        ledger = run_protocol(script, cfg)
-        return AuditReport(
-            "protocol", state_id,
-            {
-                "sum_deltas": Quantity(float(sum(ledger.deltas)), TAG_UPPER),
-                "E_initial_upper": Quantity(ledger.e_initial_upper, TAG_UPPER),
-                "E_final_lower": Quantity(ledger.e_final_lower, TAG_LOWER),
-            },
-            ledger.budget_slack, ledger.failed, TOL_OPTIMIZER,
-            extra={"n_sends": len(ledger.deltas), "locc_ok": ledger.locc_ok},
-        )
-    raise InputError(f"unknown campaign check {check!r}; one of {CAMPAIGN_CHECKS}")
+        return distance_chain_check(*pair(), kind, state_id=state_id)
+    from .protocol import random_script, run_protocol
+    ledger = run_protocol(random_script(seed, index), OptimizerConfig(seed=seed))
+    return AuditReport(
+        "protocol", state_id,
+        {
+            "sum_deltas": Quantity(float(sum(ledger.deltas)), TAG_UPPER),
+            "E_initial_upper": Quantity(ledger.e_initial_upper, TAG_UPPER),
+            "E_final_lower": Quantity(ledger.e_final_lower, TAG_LOWER),
+        },
+        ledger.budget_slack, ledger.failed, TOL_OPTIMIZER,
+        extra={"n_sends": len(ledger.deltas), "locc_ok": ledger.locc_ok},
+    )
 
 
 def campaign_workers() -> int:
@@ -318,18 +332,16 @@ def campaign_workers() -> int:
 
 
 def run_campaign(check: str, dims: SubsystemDims, samples: int, seed: int,
-                 kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
-                 subsystem: str | None = None,
-                 cfg: OptimizerConfig | None = None,
+                 kind: DistanceKind | None = None,
                  workers: int | None = None) -> tuple[list[AuditReport], dict]:
     """Audit `samples` counter-addressed cases; reports come back ordered
     by sample index regardless of execution order."""
+    kind = _campaign_kind(check, dims, kind)
     if samples < 1:
         raise InputError("samples must be >= 1")
     workers = workers if workers is not None else campaign_workers()
     workers = max(1, min(workers, samples))
-    sample = partial(campaign_sample, check, dims, seed,
-                     kind=kind, subsystem=subsystem, cfg=cfg)
+    sample = partial(campaign_sample, check, dims, seed, kind=kind)
     if workers == 1:
         reports = list(map(sample, range(samples)))
     else:

@@ -49,12 +49,6 @@ class DistanceKind(Enum):
     TRACE = "trace"
     BURES = "bures"
 
-    @property
-    def symmetric(self) -> bool:
-        """Trace and Bures are symmetric; relative entropy is not, so
-        callers must order arguments as D(state, reference)."""
-        return self is not DistanceKind.RELATIVE_ENTROPY
-
 
 def _check_same_dims(a: DensityMatrix, b: DensityMatrix) -> None:
     if a.dims.dims != b.dims.dims:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import rng
 from .entanglement import coherent_info_lower, ree_upper
+from .inequality import TOL_OPTIMIZER
 from .measures import DistanceKind
 from .optim import OptimizerConfig
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
@@ -190,7 +191,7 @@ def run_protocol(script: ProtocolScript,
                 "pre_upper": float(pre_upper),
                 "post_lower": float(post_lower),
                 "slack": slack,
-                "violated": slack < -1e-6,
+                "violated": slack < -TOL_OPTIMIZER,
             })
         trajectory.append(owner)
 
@@ -206,7 +207,7 @@ def run_protocol(script: ProtocolScript,
         e_final_upper=float(e_final_upper),
         deltas=deltas,
         budget_slack=budget_slack,
-        violated=budget_slack < -1e-6,
+        violated=budget_slack < -TOL_OPTIMIZER,
         initial_cut=str(initial_cut),
         final_cut=str(final_cut),
         locc_checks=locc_checks,

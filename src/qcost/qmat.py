@@ -184,10 +184,6 @@ class DensityMatrix:
     def labels(self) -> tuple[str, ...]:
         return self.dims.labels
 
-    @property
-    def dim(self) -> int:
-        return self.dims.total_dim
-
 
 def vector_state(psi, dims: SubsystemDims) -> DensityMatrix:
     """Projector |psi><psi| onto a unit vector, as a DensityMatrix."""
@@ -330,7 +326,8 @@ def matrix_to_json(mat: np.ndarray) -> list:
 def matrix_from_json(data) -> np.ndarray:
     try:
         return np.array([[complex(e[0], e[1]) for e in row] for row in data])
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
+        # ValueError: rows of different lengths
         raise InputError(f"malformed matrix entries: {exc}") from exc
 
 

@@ -93,7 +93,7 @@ def test_criterion_4_pure_chain(capsys):
 
 def test_criterion_5_main_inequality_campaign(capsys):
     start = time.monotonic()
-    _, summary = run_campaign("main", TRIPARTITE_QUBITS, 200, SEED, cfg=CFG)
+    _, summary = run_campaign("main", TRIPARTITE_QUBITS, 200, SEED)
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(5, "central cost bound on 200 Ginibre states, sound directions",

@@ -83,6 +83,22 @@ class TestGenAndMeasure:
                 code, _ = run_cli(capsys, *argv)
                 assert code == 2, (dims, argv)
 
+    def test_ragged_state_matrix(self, tmp_path, capsys):
+        data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
+                                                TRIPARTITE_QUBITS))
+        data["matrix"][3] = data["matrix"][3][:-1]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["measure", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_gen_rank_zero(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        code, _ = run_cli(capsys, "gen", "--family", "ginibre", "--rank", "0",
+                          "--out", str(path))
+        assert code == 2
+        assert not path.exists()
+
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "measure", "/does/not/exist.json")
         assert code == 2
@@ -117,6 +133,23 @@ class TestGenAndMeasure:
             cli.main(["campaign", "--check", "dpi", "--samples", "1",
                       "--ensemble", "ginibre"])
         assert exc.value.code == 2
+        # the seed is the only optimizer setting; a campaign always
+        # measures the last subsystem
+        script = tmp_path / "trivial.json"
+        script.write_text(json.dumps(script_to_json_dict(
+            trivial_distribution_script())))
+        commands = (["deficit", path], ["eta"],
+                    ["campaign", "--check", "main", "--samples", "1"],
+                    ["protocol", str(script)])
+        for argv in commands:
+            for extra in (["--restarts", "1"], ["--max-evals", "10"]):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([*argv, *extra])
+                assert exc.value.code == 2, (argv, extra)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["campaign", "--check", "main", "--samples", "1",
+                      "--subsystem", "A"])
+        assert exc.value.code == 2
 
 
 class TestDeficitCommand:
@@ -139,7 +172,7 @@ class TestDeficitCommand:
         path = str(tmp_path / "eta.json")
         run_cli(capsys, "gen", "--family", "eta", "--out", path)
         code, out = run_cli(capsys, "deficit", path, "--subsystem", "C",
-                            "--basis", "optimize", "--restarts", "4")
+                            "--basis", "optimize")
         assert code == 0
         report = parse_json_head(out)
         u = np.array([[complex(e[0], e[1]) for e in row]
@@ -153,7 +186,7 @@ class TestDeficitCommand:
         path = str(tmp_path / "prod.json")
         save_state(DensityMatrix(mat.astype(complex), TRIPARTITE_QUBITS), path)
         code, out = run_cli(capsys, "deficit", path, "--subsystem", "C",
-                            "--basis", "optimize", "--restarts", "6")
+                            "--basis", "optimize")
         assert code == 0
         assert float(last_line(out)) <= 1e-6
 
@@ -285,6 +318,22 @@ class TestCampaignCommand:
                           "--dims", "2,x")
         assert code == 2
 
+    def test_unaudited_kind_or_dims_refused(self, capsys):
+        # each would otherwise report a pass on a claim it never tested
+        for extra in (["--check", "main", "--kind", "trace"],
+                      ["--check", "collinearity", "--kind", "bures"],
+                      ["--check", "pure-chain", "--kind", "trace"],
+                      ["--check", "protocol", "--kind", "trace"],
+                      ["--check", "distance-chain", "--kind",
+                       "relative-entropy"],
+                      ["--check", "protocol", "--dims", "3,3,3"]):
+            code = cli.main(["campaign", "--samples", "1", "--workers", "1",
+                             *extra])
+            captured = capsys.readouterr()
+            assert code == 2, extra
+            assert captured.err.startswith("error:"), extra
+            assert captured.out == "", extra
+
 
 class TestProtocolCommand:
     def test_trivial_script(self, tmp_path, capsys):
@@ -302,6 +351,15 @@ class TestProtocolCommand:
         path.write_text("[1,2,3]")
         code, _ = run_cli(capsys, "protocol", str(path))
         assert code == 2
+
+    def test_ragged_kraus_operator(self, tmp_path, capsys):
+        data = script_to_json_dict(round_trip_script())
+        step = next(s for s in data["steps"] if s["kind"] == "LOCAL_CHANNEL")
+        step["kraus"][0][1] = step["kraus"][0][1][:-1]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["protocol", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_steps_not_objects(self, tmp_path, capsys):
         data = script_to_json_dict(trivial_distribution_script())
@@ -333,11 +391,12 @@ class TestReportHeaders:
         path = str(tmp_path / "ghz.json")
         run_cli(capsys, "gen", "--family", "ghz", "--out", path)
         _, out = run_cli(capsys, "deficit", path, "--basis", "optimize",
-                         "--restarts", "1", "--seed", "123")
+                         "--seed", "123")
         report = parse_json_head(out)
         assert report["tool"] == "qcost"
         assert report["version"]
-        assert report["config"]["seed"] == 123
+        assert report["config"] == {"seed": 123, "output": "stdout",
+                                    "format": "json"}
         digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert report["inputs"][path] == digest
 

@@ -129,7 +129,7 @@ class TestMainInequality:
 
     def test_small_campaign_clean(self):
         reports, summary = run_campaign("main", TRIPARTITE_QUBITS, 5, 46,
-                                        cfg=CFG, workers=1)
+                                        workers=1)
         assert summary["violations"] == 0
         assert summary["min_slack"] >= -1e-6
 
@@ -322,6 +322,20 @@ class TestCampaign:
         with pytest.raises(InputError):
             run_campaign("nonsense", TRIPARTITE_QUBITS, 1, 0, workers=1)
 
+    def test_each_check_audits_its_own_kind(self):
+        from qcost.inequality import campaign_sample
+        assert campaign_sample("distance-chain", TRIPARTITE_QUBITS, 63,
+                               0).check_name == "distance-chain-trace"
+        assert campaign_sample("dpi", TRIPARTITE_QUBITS, 63,
+                               0).check_name == "dpi-relative_entropy"
+        # refused before any worker starts, not remapped or ignored
+        with pytest.raises(InputError):
+            run_campaign("main", TRIPARTITE_QUBITS, 2, 63,
+                         kind=DistanceKind.TRACE, workers=2)
+        with pytest.raises(InputError):
+            campaign_sample("distance-chain", TRIPARTITE_QUBITS, 63, 0,
+                            DistanceKind.RELATIVE_ENTROPY)
+
     def test_worker_cap_from_environment(self, monkeypatch):
         from qcost.inequality import campaign_workers
         monkeypatch.setenv("QCOST_THREADS", "3")
@@ -332,7 +346,7 @@ class TestCampaign:
 
     def test_protocol_campaign_small(self):
         reports, summary = run_campaign("protocol", TRIPARTITE_QUBITS, 2, 57,
-                                        cfg=CFG, workers=1)
+                                        workers=1)
         assert summary["violations"] == 0
         for r in reports:
             assert r.slack >= -1e-6

@@ -148,13 +148,6 @@ class TestPurity:
         assert purity(qubit_diag(0.5)) == pytest.approx(0.5, abs=1e-12)
 
 
-class TestKindFlags:
-    def test_symmetry_flags(self):
-        assert not DistanceKind.RELATIVE_ENTROPY.symmetric
-        assert DistanceKind.TRACE.symmetric
-        assert DistanceKind.BURES.symmetric
-
-
 class TestProperties:
     def test_nonnegativity_and_zero_iff(self):
         for i in range(20):
