@@ -56,8 +56,7 @@ def _digest(path: str) -> str:
 
 
 def _config_echo(args) -> dict:
-    """The options the command takes; the seed only where something
-    reads it."""
+    """The options the command takes."""
     echo = {"seed": args.seed} if hasattr(args, "seed") else {}
     echo["output"] = getattr(args, "output", None) or "stdout"
     echo["format"] = getattr(args, "format", "json")
@@ -72,10 +71,6 @@ def _header(args, command: str, inputs=()) -> dict:
         "config": _config_echo(args),
         "inputs": {path: _digest(path) for path in inputs},
     }
-
-
-def _cfg(args) -> OptimizerConfig:
-    return OptimizerConfig(seed=args.seed)
 
 
 def _emit(args, payload: dict) -> None:
@@ -125,7 +120,8 @@ def cmd_deficit(args) -> int:
         report.update({"subsystem": args.subsystem, "kind": args.kind,
                        "basis": "computational", "value": value})
     else:
-        value, basis = one_way_deficit(rho, args.subsystem, kind, _cfg(args))
+        value, basis = one_way_deficit(rho, args.subsystem, kind,
+                                       OptimizerConfig(seed=args.seed))
         report.update({"subsystem": args.subsystem, "kind": args.kind,
                        "basis": "optimized", "value": value,
                        "basis_unitary": matrix_to_json(basis.unitary)})
@@ -158,7 +154,7 @@ def cmd_ree(args) -> int:
 
 def cmd_eta(args) -> int:
     """One-shot reproduction of the worked three-qubit example."""
-    cfg = _cfg(args)
+    cfg = OptimizerConfig(seed=args.seed)
     eta = eta_state()
     labels = eta.labels
     basis_c = computational_basis("C", 2)
@@ -233,7 +229,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_protocol(args) -> int:
     script = load_script(args.script)
-    ledger = run_protocol(script, _cfg(args))
+    ledger = run_protocol(script, OptimizerConfig(seed=args.seed))
     report = _header(args, "protocol", [args.script])
     report.update(ledger.to_json_dict())
     _emit(args, report)
