@@ -37,6 +37,13 @@ _KINDS = {
     "bures": DistanceKind.BURES,
 }
 
+DEFAULT_SEED = 42
+# The options each `gen` family reads, with their defaults; giving one
+# that the chosen family does not read is an input error.
+_GEN_DEFAULTS = {"dims": "2,2,2", "index": 0, "rank": None, "seed": DEFAULT_SEED}
+_GEN_READS = {"ghz": (), "eta": (), "haar-pure": ("dims", "index", "seed"),
+              "ginibre": ("dims", "index", "rank", "seed")}
+
 
 def _round12(obj):
     if isinstance(obj, float):
@@ -57,7 +64,8 @@ def _digest(path: str) -> str:
 
 def _config_echo(args) -> dict:
     """The options the command takes."""
-    echo = {"seed": args.seed} if hasattr(args, "seed") else {}
+    seed = getattr(args, "seed", None)
+    echo = {} if seed is None else {"seed": seed}
     echo["output"] = getattr(args, "output", None) or "stdout"
     echo["format"] = getattr(args, "format", "json")
     return echo
@@ -111,6 +119,11 @@ def cmd_measure(args) -> int:
 
 
 def cmd_deficit(args) -> int:
+    if args.basis == "computational" and args.seed is not None:
+        raise InputError("--basis computational searches nothing, so it "
+                         "reads no --seed")
+    if args.basis == "optimize" and args.seed is None:
+        args.seed = DEFAULT_SEED
     rho = load_state(args.state)
     kind = _KINDS[args.kind]
     report = _header(args, "deficit", [args.state])
@@ -237,6 +250,12 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    reads = _GEN_READS[args.family]
+    for name, default in _GEN_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads:
+            raise InputError(f"--family {args.family} does not read --{name}")
     if args.family == "ghz":
         rho = ghz_state()
     elif args.family == "eta":
@@ -244,12 +263,10 @@ def cmd_gen(args) -> int:
     elif args.family == "haar-pure":
         dims = _parse_dims(args.dims)
         rho = vector_state(haar_pure(dims, args.seed, args.index), dims)
-    elif args.family == "ginibre":
+    else:
         dims = _parse_dims(args.dims)
         rank = dims.total_dim if args.rank is None else args.rank
         rho = ginibre_mixed(dims, rank, args.seed, args.index)
-    else:
-        raise InputError(f"unknown family {args.family!r}")
     save_state(rho, args.out)
     print(json.dumps({"written": args.out, "family": args.family,
                       "digest": _digest(args.out)}))
@@ -265,7 +282,7 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output(p)
 
 
@@ -288,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsystem", default="C")
     p.add_argument("--kind", choices=tuple(_KINDS), default="relative-entropy")
     p.add_argument("--basis", choices=("computational", "optimize"), default="optimize")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"optimize only (default {DEFAULT_SEED})")
+    _add_output(p)
     p.set_defaults(func=cmd_deficit)
 
     p = sub.add_parser("ree", help="relative entropy of entanglement upper bound")
@@ -323,11 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a state file")
     p.add_argument("--family", required=True,
                    choices=("ghz", "eta", "haar-pure", "ginibre"))
-    p.add_argument("--dims", default="2,2,2")
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--dims", default=None,
+                   help="haar-pure and ginibre only (default 2,2,2)")
+    p.add_argument("--index", type=int, default=None,
+                   help="haar-pure and ginibre only (default 0)")
+    p.add_argument("--rank", type=int, default=None,
+                   help="ginibre only (default: full rank)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"haar-pure and ginibre only (default {DEFAULT_SEED})")
     p.set_defaults(func=cmd_gen)
 
     return parser

@@ -8,13 +8,16 @@ one kernel, sum_j w_j |v_j><v_j| over the stacked product rows v_j,
 materializes every separable mixture.
 
 The upper-bound search exploits that all three distance kinds are convex
-in the separable argument: a conditional-gradient loop moves the candidate
-ensemble toward the state, adding one product state per step (found by
-alternating local eigenvector descent) and periodically re-solving the
-convex weight subproblem over the collected atoms.  The result is always
-a certified member of the separable set together with its honestly
+in the separable argument.  It runs in two stages.  A short
+conditional-gradient (Frank-Wolfe) warm start moves the candidate ensemble
+toward the state, adding one product state per step (found by alternating
+local eigenvector descent) and re-solving the convex weight subproblem
+over the collected atoms.  One L-BFGS-B polish (Byrd, Lu, Nocedal and
+Zhu, 1995) then moves every row and weight of that ensemble at once,
+through unnormalised rows whose norms carry the weights.  The result is
+always a certified member of the separable set together with its honestly
 recomputed distance, i.e. a sound upper bound; no global-optimality claim
-is made.
+is made, and the search does not report why it stopped.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from . import rng
 from .measures import (DistanceKind, Objective, distance, relative_entropy,
@@ -36,6 +39,11 @@ _MERGE_OVERLAP = 1.0 - 1e-10
 _WEIGHT_FLOOR = 1e-12
 # Frank-Wolfe duality gap at which the conditional-gradient search stops.
 _GAP_TOL = 2e-4
+# Most conditional-gradient iterations of the warm start before the polish.
+# The warm start holds at most dx*dy + _WARM_START_ITERS atoms, within the
+# Caratheodory cap (dx*dy)**2 for every cut (dx, dy >= 2) while this is at
+# most 12.
+_WARM_START_ITERS = 10
 
 
 @dataclass(frozen=True)
@@ -170,20 +178,13 @@ class _Atoms:
     def sigma(self, weights=None) -> np.ndarray:
         return _mixture(self.weights if weights is None else weights, self.prods)
 
-    def drop(self, keep_mask):
-        self.left = self.left[keep_mask]
-        self.right = self.right[keep_mask]
-        self.prods = self.prods[keep_mask]
-        self.weights = self.weights[keep_mask]
-        self.weights = self.weights / np.sum(self.weights)
-
-    def prune(self, cap: int, floor: float = _WEIGHT_FLOOR):
-        self.drop(self.weights > floor)
-        if len(self.weights) > cap:
-            order = np.argsort(self.weights)[::-1][:cap]
-            mask = np.zeros(len(self.weights), dtype=bool)
-            mask[order] = True
-            self.drop(mask)
+    def prune(self, floor: float = _WEIGHT_FLOOR):
+        """Drop the atoms of weight at or below floor and renormalize."""
+        keep = self.weights > floor
+        self.left = self.left[keep]
+        self.right = self.right[keep]
+        self.prods = self.prods[keep]
+        self.weights = self.weights[keep] / np.sum(self.weights[keep])
 
     def snapshot(self):
         return self.weights, self.left, self.right
@@ -249,16 +250,84 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
     construction.  The seed addresses the product oracle's random starts;
     it is the only setting the search reads.
 
+    The search has two stages.  A conditional-gradient warm start of at
+    most min(max_iters, _WARM_START_ITERS) iterations (10 for every
+    max_iters >= 10) collects product atoms; one L-BFGS-B polish of at
+    most max_iters iterations then moves all of their rows and weights at
+    once.  Of the two ensembles, the one with the lower recomputed
+    distance is returned.
+
     The ensemble holds at most (dx*dy)**2 product terms: by Caratheodory's
     theorem that many reach every separable state of the cut, so the cap
-    never shrinks the set searched.
+    never shrinks the set searched.  The polish keeps the warm start's
+    rows, so it never exceeds the cap either.
     """
     rc, dx, dy = _to_cut_order(rho, cut)
-    weights, left, right = _conditional_gradient(Objective(rc.mat, kind),
-                                                 dx, dy, seed, max_iters)
-    ensemble = SeparableEnsemble(cut, weights, left, right)
-    value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
-    return float(value), ensemble
+    objective = Objective(rc.mat, kind)
+    warm = _conditional_gradient(objective, dx, dy, seed,
+                                 min(max_iters, _WARM_START_ITERS))
+    scored = []
+    for rows in (warm, _polish(objective, *warm, max_iters)):
+        ensemble = SeparableEnsemble(cut, *rows)
+        value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
+        scored.append((float(value), ensemble))
+    value, ensemble = min(scored, key=lambda pair: pair[0])  # warm on ties
+    # every distance is nonnegative; on a separable state the relative
+    # entropy can round to a few 1e-13 below 0
+    return max(value, 0.0), ensemble
+
+
+def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
+            right: np.ndarray, max_iters: int):
+    """One L-BFGS-B run over all rows of a separable ensemble at once.
+
+    The parameters are the real and imaginary parts of unnormalised rows
+    a_j, b_j, which carry the weights in their norms (a_j starts at
+    sqrt(w_j) left[j], b_j at right[j]): x_j = a_j (x) b_j,
+    S = sum_j x_j x_j^dagger and sigma = S / Tr S.  With G the objective's
+    gradient at sigma, the gradient in S is H = (G - <G, sigma> I) / Tr S,
+    and df/d conj(a_j) is H x_j contracted with conj(b_j) on the right
+    factor (df/d conj(b_j) with conj(a_j) on the left).  Returns
+    (weights, left, right) rows, zero-norm rows dropped.
+    """
+    k, dx = left.shape
+    dy = right.shape[1]
+    z0 = np.concatenate([(left * np.sqrt(weights)[:, None]).ravel(),
+                         right.ravel()])
+    eye = np.eye(dx * dy)
+
+    def rows(p):
+        z = p[:z0.size] + 1j * p[z0.size:]
+        return z[:k * dx].reshape(k, dx), z[k * dx:].reshape(k, dy)
+
+    def value_and_grad(p):
+        a, b = rows(p)
+        x = _product_rows(a, b)
+        s = x.T @ x.conj()
+        tr = float(np.trace(s).real)
+        sigma = s / tr
+        f, g = objective.evaluate(sigma)
+        if not np.isfinite(f):
+            return np.inf, np.zeros_like(p)
+        h = (g - np.vdot(sigma, g).real * eye) / tr
+        hx = (x @ h.T).reshape(k, dx, dy)
+        da = np.einsum("kij,kj->ki", hx, b.conj())
+        db = np.einsum("kij,ki->kj", hx, a.conj())
+        dz = np.concatenate([da.ravel(), db.ravel()])
+        return f, 2.0 * np.concatenate([dz.real, dz.imag])
+
+    # no tolerance stops it early: it ends at max_iters or when its line
+    # search can no longer decrease f
+    res = minimize(value_and_grad, np.concatenate([z0.real, z0.imag]),
+                   jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iters, "ftol": 0.0, "gtol": 0.0})
+    a, b = rows(res.x)
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    w = (na * nb) ** 2
+    keep = w > 0.0
+    return (w[keep] / np.sum(w[keep]), a[keep] / na[keep, None],
+            b[keep] / nb[keep, None])
 
 
 def _marginal_product_atoms(mat: np.ndarray, dx: int, dy: int) -> _Atoms:
@@ -280,20 +349,20 @@ def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
 
 
 def _conditional_gradient(objective: Objective, dx: int, dy: int, seed: int,
-                          max_iters: int):
-    """Search over ensembles of at most (dx*dy)**2 products; objective.rho
-    is the cut-ordered state.  Returns (weights, left, right) rows."""
-    cap = (dx * dy) ** 2
+                          iters: int):
+    """The warm start: at most iters Frank-Wolfe iterations over separable
+    ensembles; objective.rho is the cut-ordered state.  Starts from at
+    most dx*dy atoms and adds at most one per iteration.  Returns
+    (weights, left, right) rows of the best ensemble seen."""
     atoms = _marginal_product_atoms(objective.rho, dx, dy)
-    atoms.prune(cap)
+    atoms.prune()
     f = _reoptimize_weights(atoms, objective)
     best_f, best_snap = f, atoms.snapshot()
 
     eye_y = np.eye(dy, dtype=complex)
     comp_bs = [eye_y[:, j] for j in range(min(dy, 2))]
-    stall = 0
 
-    for it in range(max_iters):
+    for it in range(iters):
         sigma = atoms.sigma()
         grad = objective.gradient(sigma)
         b_starts = [atoms.right[int(np.argmax(atoms.weights))]] + comp_bs
@@ -314,25 +383,15 @@ def _conditional_gradient(objective: Objective, dx: int, dy: int, seed: int,
             atoms.scale(1.0 - gamma)
             atoms.add(a, b, gamma)
             f = f_new
-        if len(atoms.weights) > cap:  # cheap drop; full reopt is periodic
-            atoms.prune(cap, floor=1e-8)
-            f = objective.value(atoms.sigma())
         if (it + 1) % 8 == 0 or gamma == 0.0:
-            atoms.prune(cap, floor=1e-8)
+            atoms.prune(floor=1e-8)
             f = _reoptimize_weights(atoms, objective, iters=30)
-        if f < best_f - max(1e-9, 5e-5 * abs(best_f)):
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 40:
-                break
         if f < best_f - 1e-15:
             best_f, best_snap = f, atoms.snapshot()
 
-    atoms.prune(cap)
-    f = _reoptimize_weights(atoms, objective, iters=200)
-    if f < best_f:
-        best_f, best_snap = f, atoms.snapshot()
+    atoms.prune()
+    if _reoptimize_weights(atoms, objective, iters=200) < best_f:
+        best_snap = atoms.snapshot()
     weights, left, right = best_snap
     return weights / np.sum(weights), left, right
 

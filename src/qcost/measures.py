@@ -91,48 +91,65 @@ class Objective:
             raise InputError(f"unknown distance kind {kind!r}")
 
     def value(self, sigma: np.ndarray) -> float:
-        if self.kind is DistanceKind.RELATIVE_ENTROPY:
-            s, v = np.linalg.eigh(sigma)
-            weights = np.einsum("ij,ji->i", v.conj().T @ self.rho, v).real
-            outside = s <= SUPPORT_CUTOFF
-            if np.sum(np.clip(weights[outside], 0.0, None)) > SUPPORT_LEAK_TOL:
-                return np.inf
-            keep = ~outside
-            return self.neg_entropy - float(np.sum(weights[keep] * np.log2(s[keep])))
-        if self.kind is DistanceKind.TRACE:
-            return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(self.rho - sigma))))
-        return float(2.0 * (1.0 - np.sqrt(self.fidelity(sigma))))
+        return self.evaluate(sigma, gradient=False)[0]
+
+    def gradient(self, sigma: np.ndarray) -> np.ndarray:
+        return self.evaluate(sigma)[1]
 
     def fidelity(self, sigma: np.ndarray) -> float:
         """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped
         to [0, 1]; Bures kind only."""
-        w = np.linalg.eigvalsh(self.sqrt_rho @ sigma @ self.sqrt_rho)
-        w[w < FIDELITY_DUST] = 0.0
-        f = float(np.sum(np.sqrt(w)) ** 2)
-        return min(max(f, 0.0), 1.0)
+        return _fidelity_of_spectrum(
+            np.linalg.eigvalsh(self.sqrt_rho @ sigma @ self.sqrt_rho))
 
-    def gradient(self, sigma: np.ndarray) -> np.ndarray:
+    def evaluate(self, sigma: np.ndarray, gradient: bool = True):
+        """(D(rho, sigma), its gradient in sigma) from one eigendecomposition
+        of the matrix the kind reads.  With gradient=False the gradient is
+        None, and the trace and Bures kinds take eigenvalues only."""
         if self.kind is DistanceKind.RELATIVE_ENTROPY:
             s, v = np.linalg.eigh(sigma)
+            vr = v.conj().T @ self.rho
+            weights = np.einsum("ij,ji->i", vr, v).real
+            outside = s <= SUPPORT_CUTOFF
+            if np.sum(np.clip(weights[outside], 0.0, None)) > SUPPORT_LEAK_TOL:
+                value = np.inf
+            else:
+                keep = ~outside
+                value = self.neg_entropy - float(np.sum(weights[keep]
+                                                        * np.log2(s[keep])))
+            if not gradient:
+                return value, None
             s = np.clip(s, SUPPORT_CUTOFF, None)
-            rho_t = v.conj().T @ self.rho @ v
             logs = np.log2(s)
             diff = s[:, None] - s[None, :]
             near = np.abs(diff) <= DEGENERACY_TOL
             safe_diff = np.where(near, 1.0, diff)
             core = np.where(near, 1.0 / (s[:, None] * _LN2),
                             (logs[:, None] - logs[None, :]) / safe_diff)
-            grad_t = -rho_t * core
-            return v @ grad_t @ v.conj().T
+            grad_t = -(vr @ v) * core
+            return value, v @ grad_t @ v.conj().T
         if self.kind is DistanceKind.TRACE:
+            if not gradient:
+                w = np.linalg.eigvalsh(self.rho - sigma)
+                return float(0.5 * np.sum(np.abs(w))), None
             w, v = np.linalg.eigh(sigma - self.rho)
-            return 0.5 * (v * np.sign(w)) @ v.conj().T
-        m = self.sqrt_rho @ sigma @ self.sqrt_rho
-        w, v = np.linalg.eigh(m)
+            return float(0.5 * np.sum(np.abs(w))), 0.5 * (v * np.sign(w)) @ v.conj().T
+        if not gradient:
+            return float(2.0 * (1.0 - np.sqrt(self.fidelity(sigma)))), None
+        w, v = np.linalg.eigh(self.sqrt_rho @ sigma @ self.sqrt_rho)
+        value = float(2.0 * (1.0 - np.sqrt(_fidelity_of_spectrum(w))))
         inv_sqrt = np.where(w > BURES_NULL_TOL,
                             1.0 / np.sqrt(np.clip(w, BURES_NULL_TOL, None)), 0.0)
         mid = (v * inv_sqrt) @ v.conj().T
-        return -self.sqrt_rho @ mid @ self.sqrt_rho
+        return value, -self.sqrt_rho @ mid @ self.sqrt_rho
+
+
+def _fidelity_of_spectrum(w: np.ndarray) -> float:
+    """(sum sqrt w)^2 over the eigenvalues of sqrt(rho) sigma sqrt(rho),
+    dust zeroed, clipped to [0, 1]."""
+    w = np.where(w < FIDELITY_DUST, 0.0, w)
+    f = float(np.sum(np.sqrt(w)) ** 2)
+    return min(max(f, 0.0), 1.0)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

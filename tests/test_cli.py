@@ -152,6 +152,24 @@ class TestGenAndMeasure:
         assert exc.value.code == 2
 
 
+    def test_gen_refuses_unread_options(self, tmp_path, capsys):
+        # ghz and eta are fixed states, and haar-pure has no rank: each
+        # option would otherwise be accepted and ignored
+        path = tmp_path / "g.json"
+        for argv in (["--family", "ghz", "--dims", "3,3,3", "--rank", "5"],
+                     ["--family", "ghz", "--index", "7"],
+                     ["--family", "eta", "--seed", "1"],
+                     ["--family", "haar-pure", "--rank", "2"]):
+            code = cli.main(["gen", *argv, "--out", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.err.startswith("error:"), argv
+            assert not path.exists(), argv
+        code, _ = run_cli(capsys, "gen", "--family", "haar-pure", "--dims",
+                          "2,3", "--index", "1", "--seed", "5", "--out", str(path))
+        assert code == 0
+
+
 class TestDeficitCommand:
     def test_eta_computational(self, tmp_path, capsys):
         path = str(tmp_path / "eta.json")
@@ -167,6 +185,21 @@ class TestDeficitCommand:
         _, out = run_cli(capsys, "deficit", path, "--subsystem", "C",
                          "--basis", "computational")
         assert float(last_line(out)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_computational_refuses_seed(self, tmp_path, capsys):
+        path = str(tmp_path / "eta.json")
+        run_cli(capsys, "gen", "--family", "eta", "--out", path)
+        code = cli.main(["deficit", path, "--basis", "computational",
+                         "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        # without a seed nothing echoes one; the search still defaults to 42
+        _, out = run_cli(capsys, "deficit", path, "--basis", "computational")
+        assert "seed" not in parse_json_head(out)["config"]
+        _, out = run_cli(capsys, "deficit", path, "--basis", "optimize")
+        assert parse_json_head(out)["config"]["seed"] == 42
 
     def test_optimized_emits_basis_unitary(self, tmp_path, capsys):
         path = str(tmp_path / "eta.json")

@@ -142,6 +142,18 @@ class TestObjective:
             assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_evaluate_pairs_value_and_gradient(self, kind):
+        # the polish reads both from one eigendecomposition
+        for i in range(3):
+            rho = ginibre_mixed(THREEQ, 8, 32, 2 * i).mat
+            sigma = ginibre_mixed(THREEQ, 8, 32, 2 * i + 1).mat
+            objective = Objective(rho, kind)
+            value, grad = objective.evaluate(sigma)
+            assert value == pytest.approx(objective.value(sigma), abs=1e-12)
+            assert np.array_equal(grad, objective.gradient(sigma))
+
+
 class TestPurity:
     def test_pure_and_mixed(self):
         assert purity(bell_dm()) == pytest.approx(1.0, abs=1e-12)
