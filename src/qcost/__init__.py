@@ -9,6 +9,12 @@ multi-round distribution-protocol budget.
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread for matrices of at most 64 x 64, unless the user set
+# one; numpy reads it when it loads, and forked campaign workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .measures import (DistanceKind, bures_distance, fidelity, purity,
                        relative_entropy, trace_distance, vn_entropy)
 from .optim import OptimizerConfig, OptResult, minimize

@@ -149,18 +149,15 @@ def cmd_ree(args) -> int:
     kind = _KINDS[args.kind]
     value, ensemble = ree_upper(rho, cut, kind, seed=args.seed)
     report = _header(args, "ree", [args.state])
-    report.update({
-        "cut": str(cut),
-        "kind": args.kind,
-        "upper_bound": value,
-        "coherent_info_lower": coherent_info_lower(rho, cut),
-        "ppt_min_eigenvalue": ppt_min_eigenvalue(rho, cut),
-        "ensemble": {
-            "weights": list(map(float, ensemble.weights)),
-            "left_vectors": matrix_to_json(ensemble.left),
-            "right_vectors": matrix_to_json(ensemble.right),
-        },
-    })
+    report.update({"cut": str(cut), "kind": args.kind, "upper_bound": value})
+    if kind is DistanceKind.RELATIVE_ENTROPY:  # the hashing bound's only kind
+        report["coherent_info_lower"] = coherent_info_lower(rho, cut)
+    report["ppt_min_eigenvalue"] = ppt_min_eigenvalue(rho, cut)
+    report["ensemble"] = {
+        "weights": list(map(float, ensemble.weights)),
+        "left_vectors": matrix_to_json(ensemble.left),
+        "right_vectors": matrix_to_json(ensemble.right),
+    }
     _emit(args, report)
     return EXIT_OK
 

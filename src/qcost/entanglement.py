@@ -3,21 +3,20 @@ pure-state values, coherent-information lower bounds, and PPT checks.
 
 A separable ensemble is stored as stacked rows: weights (k,), left (k, dx)
 and right (k, dy), row j of left and right being the j-th product term.
-The search's working set and the returned ensemble share that format, and
-one kernel, sum_j w_j |v_j><v_j| over the stacked product rows v_j,
-materializes every separable mixture.
+The search's polish moves the same rows, with the weights folded into
+their norms.
 
 The upper-bound search exploits that all three distance kinds are convex
-in the separable argument.  It runs in two stages.  A short
-conditional-gradient (Frank-Wolfe) warm start moves the candidate ensemble
-toward the state, adding one product state per step (found by alternating
-local eigenvector descent) and re-solving the convex weight subproblem
-over the collected atoms.  One L-BFGS-B polish (Byrd, Lu, Nocedal and
-Zhu, 1995) then moves every row and weight of that ensemble at once,
-through unnormalised rows whose norms carry the weights.  The result is
-always a certified member of the separable set together with its honestly
-recomputed distance, i.e. a sound upper bound; no global-optimality claim
-is made, and the search does not report why it stopped.
+in the separable argument.  It starts from the state dephased in the
+product of its marginals' eigenbases, which is separable, has a finite
+distance to the state, and for a pure state is already the closest
+separable state in relative entropy.  One L-BFGS-B polish (Byrd, Lu,
+Nocedal and Zhu, 1995) then moves every row and weight of that start,
+plus a few seeded random product rows, at once, through unnormalised rows
+whose norms carry the weights.  The result is always a certified member
+of the separable set together with its honestly recomputed distance,
+i.e. a sound upper bound; no global-optimality claim is made, and the
+search does not report why it stopped.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from . import rng
 from .measures import (DistanceKind, Objective, distance, relative_entropy,
@@ -35,15 +34,16 @@ from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
                    vector_state)
 from .quantumness import MeasurementBasis, measure_channel
 
-_MERGE_OVERLAP = 1.0 - 1e-10
-_WEIGHT_FLOOR = 1e-12
-# Frank-Wolfe duality gap at which the conditional-gradient search stops.
-_GAP_TOL = 2e-4
-# Most conditional-gradient iterations of the warm start before the polish.
-# The warm start holds at most dx*dy + _WARM_START_ITERS atoms, within the
-# Caratheodory cap (dx*dy)**2 for every cut (dx, dy >= 2) while this is at
-# most 12.
-_WARM_START_ITERS = 10
+# The polish's random product rows and the weight they share.  With them
+# the ensemble holds at most dx*dy + 10 rows, within the Caratheodory cap
+# (dx*dy)**2 for every cut with dx, dy >= 2.
+_SEEDED_ROWS = 10
+_SEEDED_WEIGHT = 1e-3
+# Relative decrease of one L-BFGS-B iteration below which the polish stops.
+_FTOL = 1e-11
+# Relative-entropy gap to the hashing lower bound within which the start is
+# returned as it is.
+_CERTIFIED_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ def _product_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left[:, :, None] * right[:, None, :]).reshape(left.shape[0], -1)
 
 
-def _mixture(weights: np.ndarray, prods: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] |prods[j]><prods[j]| over the stacked rows."""
-    return (prods * weights[:, None]).T @ prods.conj()
-
-
 def ensemble_to_state(e: SeparableEnsemble, dims: SubsystemDims) -> DensityMatrix:
     """Materialize sum_k p_k |a_k><a_k| x |b_k><b_k| in canonical label order."""
     e.cut.validate_against(dims)
@@ -101,7 +96,8 @@ def ensemble_to_state(e: SeparableEnsemble, dims: SubsystemDims) -> DensityMatri
         raise InputError(f"left row length {e.left.shape[1]} != cut dimension {dx}")
     if e.right.shape[1] != dy:
         raise InputError(f"right row length {e.right.shape[1]} != cut dimension {dy}")
-    mat = _mixture(e.weights, _product_rows(e.left, e.right))
+    prods = _product_rows(e.left, e.right)
+    mat = (prods * e.weights[:, None]).T @ prods.conj()
     cut_order = e.cut.left + e.cut.right
     cut_dims = SubsystemDims(cut_order, tuple(dims.dim_of(l) for l in cut_order))
     sigma = DensityMatrix.trusted(mat, cut_dims)
@@ -140,141 +136,89 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
 # Closest-separable-state search.
 # ----------------------------------------------------------------------
 
-def _to_cut_order(rho: DensityMatrix, cut: Bipartition):
-    cut.validate_against(rho.dims)
-    order = cut.left + cut.right
-    rc = permute_subsystems(rho, order)
-    dx = rho.dims.subset_dim(cut.left)
-    dy = rho.dims.subset_dim(cut.right)
-    return rc, dx, dy
-
-
-class _Atoms:
-    """Working separable ensemble: stacked product rows left[j] x right[j],
-    their Kronecker products prods[j], and weights.  Every update replaces
-    an array instead of writing into it, so snapshots share them."""
-
-    def __init__(self, left: np.ndarray, right: np.ndarray, weights: np.ndarray):
-        self.left, self.right, self.weights = left, right, weights
-        self.prods = _product_rows(left, right)
-
-    def add(self, a: np.ndarray, b: np.ndarray, weight: float):
-        v = np.kron(a, b)
-        if len(self.weights):
-            overlap = np.abs(self.prods.conj() @ v) ** 2
-            k = int(np.argmax(overlap))
-            if overlap[k] >= _MERGE_OVERLAP:
-                self.weights = self.weights.copy()
-                self.weights[k] += weight
-                return
-        self.left = np.vstack([self.left, a[None, :]])
-        self.right = np.vstack([self.right, b[None, :]])
-        self.prods = np.vstack([self.prods, v[None, :]])
-        self.weights = np.append(self.weights, weight)
-
-    def scale(self, factor: float):
-        self.weights = self.weights * factor
-
-    def sigma(self, weights=None) -> np.ndarray:
-        return _mixture(self.weights if weights is None else weights, self.prods)
-
-    def prune(self, floor: float = _WEIGHT_FLOOR):
-        """Drop the atoms of weight at or below floor and renormalize."""
-        keep = self.weights > floor
-        self.left = self.left[keep]
-        self.right = self.right[keep]
-        self.prods = self.prods[keep]
-        self.weights = self.weights[keep] / np.sum(self.weights[keep])
-
-    def snapshot(self):
-        return self.weights, self.left, self.right
-
-
-def _reoptimize_weights(atoms: _Atoms, objective: Objective,
-                        iters: int = 60) -> float:
-    """Exponentiated-gradient descent on the convex weight subproblem."""
-    p = atoms.weights / np.sum(atoms.weights)
-    sigma = atoms.sigma(p)
-    f = objective.value(sigma)
-    step = 1.0
-    prods = atoms.prods
-    for _ in range(iters):
-        grad = objective.gradient(sigma)
-        g = np.einsum("ki,ij,kj->k", prods.conj(), grad, prods).real
-        g -= np.min(g)
-        improved = False
-        while step > 1e-8:
-            q = p * np.exp(-step * g)
-            total = np.sum(q)
-            if total <= 0 or not np.isfinite(total):
-                step *= 0.5
-                continue
-            q /= total
-            sigma_q = atoms.sigma(q)
-            fq = objective.value(sigma_q)
-            if fq < f - 1e-15:
-                p, sigma, f = q, sigma_q, fq
-                step *= 1.3
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    atoms.weights = p
-    return f
-
-
-def _line_search(objective: Objective, sigma: np.ndarray,
-                 atom_outer: np.ndarray, f_now: float):
-    def fg(gamma: float) -> float:
-        return objective.value((1.0 - gamma) * sigma + gamma * atom_outer)
-
-    res = minimize_scalar(fg, bounds=(0.0, 1.0 - 1e-9), method="bounded",
-                          options={"xatol": 1e-9, "maxiter": 25})
-    gamma = float(res.x)
-    f_new = float(res.fun)
-    if f_new >= f_now:  # keep monotone descent even on nonsmooth kinds
-        return 0.0, f_now
-    return gamma, f_new
-
-
 def ree_upper(rho: DensityMatrix, cut: Bipartition,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
               seed: int = 0,
-              max_iters: int = 200) -> tuple[float, SeparableEnsemble]:
+              max_iters: int = 300) -> tuple[float, SeparableEnsemble]:
     """Upper bound on the entanglement of rho across the cut.
 
     Returns the achieved distance together with the separable ensemble
     (stacked rows, see SeparableEnsemble) that achieves it.  The value is
     recomputed from the returned ensemble, so it is a sound upper bound by
-    construction.  The seed addresses the product oracle's random starts;
-    it is the only setting the search reads.
+    construction.  The seed addresses the start's random product rows; it
+    is the only setting the search reads.
 
-    The search has two stages.  A conditional-gradient warm start of at
-    most min(max_iters, _WARM_START_ITERS) iterations (10 for every
-    max_iters >= 10) collects product atoms; one L-BFGS-B polish of at
-    most max_iters iterations then moves all of their rows and weights at
-    once.  Of the two ensembles, the one with the lower recomputed
-    distance is returned.
+    The search starts from rho dephased in the product of its marginals'
+    eigenbases, at most dx*dy product rows.  One L-BFGS-B polish of at most
+    max_iters iterations then moves every row and weight of that start,
+    plus _SEEDED_ROWS random product rows of total weight _SEEDED_WEIGHT,
+    at once.  The polish also stops once one iteration lowers the value by
+    a relative amount below _FTOL.  Of the dephased start and the polished
+    ensemble, the one with the lower recomputed distance is returned.  No
+    polish runs when the hashing bound certifies the start: a
+    relative-entropy start within _CERTIFIED_GAP of coherent_info_lower,
+    as on every pure state with distinct Schmidt coefficients.
 
-    The ensemble holds at most (dx*dy)**2 product terms: by Caratheodory's
-    theorem that many reach every separable state of the cut, so the cap
-    never shrinks the set searched.  The polish keeps the warm start's
-    rows, so it never exceeds the cap either.
+    The ensemble holds at most dx*dy + _SEEDED_ROWS product terms, within
+    the (dx*dy)**2 that reach every separable state of the cut
+    (Caratheodory's theorem) for every cut with dx, dy >= 2.
     """
-    rc, dx, dy = _to_cut_order(rho, cut)
-    objective = Objective(rc.mat, kind)
-    warm = _conditional_gradient(objective, dx, dy, seed,
-                                 min(max_iters, _WARM_START_ITERS))
-    scored = []
-    for rows in (warm, _polish(objective, *warm, max_iters)):
+    cut.validate_against(rho.dims)
+    rc = permute_subsystems(rho, cut.left + cut.right)
+    start = _dephased_start(rc.mat, rho.dims.subset_dim(cut.left),
+                            rho.dims.subset_dim(cut.right))
+
+    def scored(rows):
         ensemble = SeparableEnsemble(cut, *rows)
-        value = distance(kind, rho, ensemble_to_state(ensemble, rho.dims))
-        scored.append((float(value), ensemble))
-    value, ensemble = min(scored, key=lambda pair: pair[0])  # warm on ties
+        return distance(kind, rho, ensemble_to_state(ensemble, rho.dims)), ensemble
+
+    value, ensemble = scored(start)
+    if not (kind is DistanceKind.RELATIVE_ENTROPY
+            and value <= coherent_info_lower(rho, cut) + _CERTIFIED_GAP):
+        polished = scored(_polish(Objective(rc.mat, kind),
+                                  *_with_seeded_rows(start, seed), max_iters))
+        if polished[0] < value:  # the start on ties
+            value, ensemble = polished
     # every distance is nonnegative; on a separable state the relative
     # entropy can round to a few 1e-13 below 0
-    return max(value, 0.0), ensemble
+    return max(float(value), 0.0), ensemble
+
+
+def _dephased_start(mat: np.ndarray, dx: int, dy: int):
+    """rho dephased in the product basis x_i (x) y_j of its marginals'
+    eigenvectors: weights <x_i y_j|rho|x_i y_j>, zero-weight rows dropped.
+
+    By the pinching inequality its support contains rho's, so every
+    distance to it is finite.  For a pure state with distinct Schmidt
+    coefficients the basis is the Schmidt basis, and the start is the
+    closest separable state in relative entropy.  Returns (weights, left,
+    right) rows.
+    """
+    t = mat.reshape(dx, dy, dx, dy)
+    _, vx = np.linalg.eigh(np.einsum("ijkj->ik", t))
+    _, vy = np.linalg.eigh(np.einsum("ijil->jl", t))
+    left = np.repeat(vx.T, dy, axis=0)
+    right = np.tile(vy.T, (dx, 1))
+    prods = _product_rows(left, right)
+    w = np.einsum("ki,ij,kj->k", prods.conj(), mat, prods).real
+    keep = w > 1e-14
+    return w[keep] / np.sum(w[keep]), left[keep], right[keep]
+
+
+def _with_seeded_rows(rows, seed: int):
+    """The rows with _SEEDED_ROWS random product rows appended, sharing
+    weight _SEEDED_WEIGHT; they give the polish directions that the
+    dephased start's basis rows lack."""
+    weights, left, right = rows
+    dx, dy = left.shape[1], right.shape[1]
+    z = rng.complex_normals(seed, 0, _SEEDED_ROWS * (dx + dy),
+                            purpose=rng.PURPOSE_SEEDED_ROWS)
+    z = z.reshape(_SEEDED_ROWS, dx + dy)
+    a, b = z[:, :dx], z[:, dx:]
+    return (np.concatenate([(1.0 - _SEEDED_WEIGHT) * weights,
+                            np.full(_SEEDED_ROWS, _SEEDED_WEIGHT / _SEEDED_ROWS)]),
+            np.vstack([left, a / np.linalg.norm(a, axis=1)[:, None]]),
+            np.vstack([right, b / np.linalg.norm(b, axis=1)[:, None]]))
 
 
 def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
@@ -282,18 +226,24 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     """One L-BFGS-B run over all rows of a separable ensemble at once.
 
     The parameters are the real and imaginary parts of unnormalised rows
-    a_j, b_j, which carry the weights in their norms (a_j starts at
-    sqrt(w_j) left[j], b_j at right[j]): x_j = a_j (x) b_j,
+    a_j, b_j, which carry the weights in their norms: x_j = a_j (x) b_j,
     S = sum_j x_j x_j^dagger and sigma = S / Tr S.  With G the objective's
     gradient at sigma, the gradient in S is H = (G - <G, sigma> I) / Tr S,
     and df/d conj(a_j) is H x_j contracted with conj(b_j) on the right
     factor (df/d conj(b_j) with conj(a_j) on the left).  Returns
     (weights, left, right) rows, zero-norm rows dropped.
+
+    The factor of larger dimension starts with norm sqrt(w_j), the other
+    with norm 1.  A factor's direction has curvature proportional to the
+    other factor's squared norm, so on a row of small weight only the
+    factor that carries the weight turns at the pace of the other rows;
+    that way it is the one with more directions to explore.
     """
     k, dx = left.shape
     dy = right.shape[1]
-    z0 = np.concatenate([(left * np.sqrt(weights)[:, None]).ravel(),
-                         right.ravel()])
+    scale = np.sqrt(weights)[:, None]
+    a0, b0 = (left * scale, right) if dx >= dy else (left, right * scale)
+    z0 = np.concatenate([a0.ravel(), b0.ravel()])
     eye = np.eye(dx * dy)
 
     def rows(p):
@@ -316,11 +266,11 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
         dz = np.concatenate([da.ravel(), db.ravel()])
         return f, 2.0 * np.concatenate([dz.real, dz.imag])
 
-    # no tolerance stops it early: it ends at max_iters or when its line
-    # search can no longer decrease f
+    # it ends at max_iters, when one iteration lowers f by a relative
+    # amount below _FTOL, or when its line search can no longer decrease f
     res = minimize(value_and_grad, np.concatenate([z0.real, z0.imag]),
                    jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iters, "ftol": 0.0, "gtol": 0.0})
+                   options={"maxiter": max_iters, "ftol": _FTOL, "gtol": 0.0})
     a, b = rows(res.x)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -328,106 +278,6 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     keep = w > 0.0
     return (w[keep] / np.sum(w[keep]), a[keep] / na[keep, None],
             b[keep] / nb[keep, None])
-
-
-def _marginal_product_atoms(mat: np.ndarray, dx: int, dy: int) -> _Atoms:
-    """Initial ensemble: eigen-decomposed product of marginals.  Its support
-    always contains the state's support, so the search starts finite."""
-    wx, vx = np.linalg.eigh(_trace_block(mat, dx, dy, keep="x"))
-    wy, vy = np.linalg.eigh(_trace_block(mat, dx, dy, keep="y"))
-    w = (wx[:, None] * wy[None, :]).reshape(-1)
-    keep = np.flatnonzero(w > 1e-14)
-    i, j = np.divmod(keep, dy)
-    return _Atoms(vx.T[i], vy.T[j], w[keep] / np.sum(w[keep]))
-
-
-def _trace_block(mat: np.ndarray, dx: int, dy: int, keep: str) -> np.ndarray:
-    t = mat.reshape(dx, dy, dx, dy)
-    if keep == "x":
-        return np.einsum("ijkj->ik", t)
-    return np.einsum("ijil->jl", t)
-
-
-def _conditional_gradient(objective: Objective, dx: int, dy: int, seed: int,
-                          iters: int):
-    """The warm start: at most iters Frank-Wolfe iterations over separable
-    ensembles; objective.rho is the cut-ordered state.  Starts from at
-    most dx*dy atoms and adds at most one per iteration.  Returns
-    (weights, left, right) rows of the best ensemble seen."""
-    atoms = _marginal_product_atoms(objective.rho, dx, dy)
-    atoms.prune()
-    f = _reoptimize_weights(atoms, objective)
-    best_f, best_snap = f, atoms.snapshot()
-
-    eye_y = np.eye(dy, dtype=complex)
-    comp_bs = [eye_y[:, j] for j in range(min(dy, 2))]
-
-    for it in range(iters):
-        sigma = atoms.sigma()
-        grad = objective.gradient(sigma)
-        b_starts = [atoms.right[int(np.argmax(atoms.weights))]] + comp_bs
-        b_starts += [rng.complex_normals(seed, (it << 1) | r, dy,
-                                         purpose=rng.PURPOSE_ORACLE)
-                     for r in range(2)]
-        e_min, a, b = _alternating_oracle(grad, dx, dy, b_starts)
-
-        trace_term = float(np.vdot(sigma.reshape(-1), grad.reshape(-1)).real)
-        gap = trace_term - e_min
-        if gap <= _GAP_TOL and np.isfinite(f):
-            break
-
-        v = np.kron(a, b)
-        outer = np.outer(v, v.conj())
-        gamma, f_new = _line_search(objective, sigma, outer, f)
-        if gamma > 0.0:
-            atoms.scale(1.0 - gamma)
-            atoms.add(a, b, gamma)
-            f = f_new
-        if (it + 1) % 8 == 0 or gamma == 0.0:
-            atoms.prune(floor=1e-8)
-            f = _reoptimize_weights(atoms, objective, iters=30)
-        if f < best_f - 1e-15:
-            best_f, best_snap = f, atoms.snapshot()
-
-    atoms.prune()
-    if _reoptimize_weights(atoms, objective, iters=200) < best_f:
-        best_snap = atoms.snapshot()
-    weights, left, right = best_snap
-    return weights / np.sum(weights), left, right
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
-
-
-def _alternating_oracle(grad, dx, dy, b_starts):
-    """Minimize <a b|grad|a b> over product unit vectors by alternating
-    bottom-eigenvector updates, keeping the best over all starts.
-
-    The starts run stacked: each alternation is one einsum and one batched
-    eigh per side over the starts still active.  A start freezes (its a, b
-    and value stay fixed) once its value moves by less than 1e-13, or after
-    25 alternations.  The first start reaching the minimum value wins.
-    """
-    gt = grad.reshape(dx, dy, dx, dy)
-    b = np.array([b0 / np.linalg.norm(b0) for b0 in b_starts], dtype=complex)
-    a = np.zeros((b.shape[0], dx), dtype=complex)
-    val = np.full(b.shape[0], np.inf)
-    active = np.arange(b.shape[0])
-    for _ in range(25):
-        bs = b[active]
-        mb = _hermitian_part(np.einsum("nj,ijkl,nl->nik", bs.conj(), gt, bs))
-        a_new = np.linalg.eigh(mb)[1][:, :, 0]
-        ma = _hermitian_part(np.einsum("ni,ijkl,nk->njl", a_new.conj(), gt, a_new))
-        wb, vb = np.linalg.eigh(ma)
-        val_new = wb[:, 0].real
-        moved = ~(np.abs(val[active] - val_new) < 1e-13)
-        a[active], b[active], val[active] = a_new, vb[:, :, 0], val_new
-        active = active[moved]
-        if not active.size:
-            break
-    k = int(np.argmin(val))
-    return float(val[k]), a[k], b[k]
 
 
 def measured_separable_upper(rho: DensityMatrix, sigma: DensityMatrix,

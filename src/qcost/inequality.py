@@ -37,7 +37,6 @@ TAG_LOWER = "lower_bound"
 TOL_IDENTITY = 1e-8
 TOL_ANALYTIC = 1e-9
 TOL_OPTIMIZER = 1e-6
-_AUDIT_REE_ITERS = 120
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def main_inequality_audit(rho: DensityMatrix,
     lower_e_final = coherent_info_lower(rho, Bipartition(("A",), ("B", "C")))
     if lower_e_final > 0.0:
         upper_e_init, _ = ree_upper(rho, Bipartition(("A", "C"), ("B",)),
-                                    seed=cfg.seed, max_iters=_AUDIT_REE_ITERS)
+                                    seed=cfg.seed)
         upper_delta, _ = one_way_deficit(rho, "C", DistanceKind.RELATIVE_ENTROPY,
                                          cfg)
         extra = {}

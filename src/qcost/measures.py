@@ -93,9 +93,6 @@ class Objective:
     def value(self, sigma: np.ndarray) -> float:
         return self.evaluate(sigma, gradient=False)[0]
 
-    def gradient(self, sigma: np.ndarray) -> np.ndarray:
-        return self.evaluate(sigma)[1]
-
     def fidelity(self, sigma: np.ndarray) -> float:
         """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped
         to [0, 1]; Bures kind only."""

@@ -42,7 +42,6 @@ SEND_C = "SEND_C"
 LOCAL_CHANNEL = "LOCAL_CHANNEL"
 
 _KRAUS_TOL = 1e-9
-_LEDGER_REE_ITERS = 150
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def run_protocol(script: ProtocolScript,
     owner = script.initial_owner_of_c
 
     initial_cut = ownership_cut(owner)
-    e_init_upper, _ = ree_upper(rho, initial_cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
+    e_init_upper, _ = ree_upper(rho, initial_cut, seed=cfg.seed)
     e_init_lower = coherent_info_lower(rho, initial_cut)
 
     deltas: list[float] = []
@@ -181,7 +180,7 @@ def run_protocol(script: ProtocolScript,
             # local channels cannot raise entanglement across the lab cut:
             # the post-step lower bound must stay under the pre-step upper
             cut = ownership_cut(owner)
-            pre_upper, _ = ree_upper(rho, cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
+            pre_upper, _ = ree_upper(rho, cut, seed=cfg.seed)
             rho = apply_local_channel(rho, step.party, step.kraus, owner)
             post_lower = coherent_info_lower(rho, cut)
             slack = float(pre_upper - post_lower)
@@ -197,7 +196,7 @@ def run_protocol(script: ProtocolScript,
 
     final_cut = ownership_cut(owner)
     e_final_lower = coherent_info_lower(rho, final_cut)
-    e_final_upper, _ = ree_upper(rho, final_cut, seed=cfg.seed, max_iters=_LEDGER_REE_ITERS)
+    e_final_upper, _ = ree_upper(rho, final_cut, seed=cfg.seed)
 
     budget_slack = float(sum(deltas) - (e_final_lower - e_init_upper))
     return LedgerReport(

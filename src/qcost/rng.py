@@ -19,7 +19,7 @@ PURPOSE_GINIBRE = 1
 PURPOSE_OPTIM = 2
 PURPOSE_UNITARY = 3
 PURPOSE_SCRIPT = 4
-PURPOSE_ORACLE = 5
+PURPOSE_SEEDED_ROWS = 5
 
 
 def stream(seed: int, index: int, purpose: int = 0) -> np.random.Generator:

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcost
 import qcost.cli as cli
 from qcost.protocol import (round_trip_script, script_to_json_dict,
                             trivial_distribution_script)
@@ -270,6 +274,23 @@ class TestReeCommand:
         code, _ = run_cli(capsys, "ree", path, "--cut", "A|B")
         assert code == 2
 
+    def test_coherent_info_lower_only_for_relative_entropy(self, tmp_path, capsys):
+        # on GHZ A|BC the hashing bound is 1, above the trace-kind upper 1/2:
+        # it bounds the relative-entropy kind only
+        path = str(tmp_path / "ghz.json")
+        run_cli(capsys, "gen", "--family", "ghz", "--out", path)
+        code, out = run_cli(capsys, "ree", path, "--cut", "A|BC")
+        assert code == 0
+        report = parse_json_head(out)
+        assert report["coherent_info_lower"] == pytest.approx(1.0, abs=1e-9)
+        assert report["coherent_info_lower"] <= report["upper_bound"] + 1e-9
+        for kind in ("trace", "bures"):
+            code, out = run_cli(capsys, "ree", path, "--cut", "A|BC", "--kind", kind)
+            assert code == 0
+            report = parse_json_head(out)
+            assert "coherent_info_lower" not in report
+            assert report["upper_bound"] < 1.0
+
 
 class TestEtaCommand:
     def test_reproduction_report(self, capsys):
@@ -438,3 +459,26 @@ class TestReportHeaders:
         run_cli(capsys, "gen", "--family", "eta", "--out", path)
         _, out = run_cli(capsys, "measure", path)
         assert last_line(out) == "2.25162916739"
+
+
+class TestBlasThreads:
+    """Importing qcost before numpy sets OPENBLAS_NUM_THREADS to 1 unless
+    the user set it; forked campaign workers inherit the environment."""
+
+    @staticmethod
+    def threads_after_import(value):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qcost.__file__))
+        code = "import os, qcost; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    def test_unset_gives_one(self):
+        assert self.threads_after_import(None) == "1"
+
+    def test_user_value_kept(self):
+        assert self.threads_after_import("3") == "3"

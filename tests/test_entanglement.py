@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.entanglement import (_WARM_START_ITERS, SeparableEnsemble,
-                                _alternating_oracle, _conditional_gradient,
-                                _to_cut_order, coherent_info_lower,
+from qcost import entanglement
+from qcost.entanglement import (SeparableEnsemble, coherent_info_lower,
                                 ensemble_to_state, measured_separable_upper,
                                 ppt_min_eigenvalue, pure_state_entanglement,
                                 ree_upper)
-from qcost.measures import (DistanceKind, Objective, distance,
-                            relative_entropy, vn_entropy)
+from qcost.measures import (DistanceKind, distance, relative_entropy,
+                            vn_entropy)
 from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                        partial_trace, vector_state)
+                        partial_trace, permute_subsystems, vector_state)
 from qcost.quantumness import computational_basis, measure_channel
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_separable_ensemble,
                             eta_state, ghz_state, ginibre_mixed, haar_pure)
 
-from conftest import bell_dm, random_hermitian, random_unit_vector
+from conftest import bell_dm, random_unit_vector
 
 TWOQ = SubsystemDims(("A", "B"), (2, 2))
 CUT_AB = Bipartition(("A",), ("B",))
@@ -142,28 +141,64 @@ class TestReeUpper:
         # dx = 4, dy = 2 on AC|B: at most (4*2)**2 product terms
         rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 30, 0)
         _, ensemble = ree_upper(rho, CUT_AC_B, seed=SEED, max_iters=40)
-        assert len(ensemble) <= (4 * 2) ** 2
+        assert len(ensemble) <= 4 * 2 + 10 <= (4 * 2) ** 2
 
 
 class TestTwoStageSearch:
-    """The L-BFGS-B polish after the conditional-gradient warm start."""
+    """The dephased start and the L-BFGS-B polish that runs from it."""
+
+    STATES = [eta_state(), ginibre_mixed(TRIPARTITE_QUBITS, 2, 37, 0),
+              ginibre_mixed(TRIPARTITE_QUBITS, 8, 37, 1),
+              vector_state(haar_pure(TRIPARTITE_QUBITS, 37, 2), TRIPARTITE_QUBITS)]
+
+    @staticmethod
+    def dephased_start(rho, cut):
+        """rho in cut order and rho dephased in the product of its
+        marginals' eigenbases."""
+        rc = permute_subsystems(rho, cut.left + cut.right)
+        dx = rho.dims.subset_dim(cut.left)
+        dy = rho.dims.subset_dim(cut.right)
+        t = rc.mat.reshape(dx, dy, dx, dy)
+        _, vx = np.linalg.eigh(np.einsum("ijkj->ik", t))
+        _, vy = np.linalg.eigh(np.einsum("ijil->jl", t))
+        u = np.kron(vx, vy)
+        weights = np.diag(u.conj().T @ rc.mat @ u).real
+        return rc, DensityMatrix((u * weights) @ u.conj().T, rc.dims)
 
     @pytest.mark.parametrize("kind", list(DistanceKind), ids=lambda k: k.value)
-    def test_never_above_warm_start(self, kind):
-        states = [eta_state(), ginibre_mixed(TRIPARTITE_QUBITS, 2, 37, 0),
-                  ginibre_mixed(TRIPARTITE_QUBITS, 8, 37, 1),
-                  vector_state(haar_pure(TRIPARTITE_QUBITS, 37, 2),
-                               TRIPARTITE_QUBITS)]
-        for rho in states:
+    def test_never_above_start(self, kind):
+        for rho in self.STATES:
             for cut in (CUT_AC_B, CUT_A_BC):
-                rc, dx, dy = _to_cut_order(rho, cut)
-                warm = SeparableEnsemble(cut, *_conditional_gradient(
-                    Objective(rc.mat, kind), dx, dy, SEED, _WARM_START_ITERS))
-                warm_value = distance(kind, rho, ensemble_to_state(
-                    warm, TRIPARTITE_QUBITS))
+                rc, start = self.dephased_start(rho, cut)
+                assert ppt_min_eigenvalue(start, cut) >= -1e-12
                 value, ensemble = ree_upper(rho, cut, kind, seed=SEED)
-                assert value <= warm_value
-                assert len(ensemble) <= len(warm)
+                assert value <= distance(kind, rc, start) + 1e-12
+                dxdy = rho.dims.subset_dim(cut.left) * rho.dims.subset_dim(cut.right)
+                assert len(ensemble) <= dxdy + 10
+
+    def test_certified_start_runs_no_polish(self, monkeypatch):
+        # on a pure state the relative-entropy start meets the hashing bound
+        def no_polish(*args):
+            raise AssertionError("polish ran on a certified start")
+
+        monkeypatch.setattr(entanglement, "_polish", no_polish)
+        psi = haar_pure(TRIPARTITE_QUBITS, 38, 0)
+        value, ensemble = ree_upper(vector_state(psi, TRIPARTITE_QUBITS), CUT_AC_B)
+        assert value == pytest.approx(pure_state_entanglement(
+            psi, CUT_AC_B, TRIPARTITE_QUBITS), abs=1e-12)
+        assert len(ensemble) == 2
+        with pytest.raises(AssertionError):
+            ree_upper(self.STATES[1], CUT_AC_B)
+
+    def test_rerun_is_bit_identical(self):
+        rho = ginibre_mixed(TRIPARTITE_QUBITS, 2, 37, 0)
+        for kind in DistanceKind:
+            first = ree_upper(rho, CUT_AC_B, kind, seed=SEED)
+            again = ree_upper(rho, CUT_AC_B, kind, seed=SEED)
+            assert first[0] == again[0]
+            for name in ("weights", "left", "right"):
+                assert np.array_equal(getattr(first[1], name),
+                                      getattr(again[1], name))
 
     # E_AC|B upper bounds that the 120-iteration conditional-gradient search
     # reached on the first three powered rank-2 states of seed 1
@@ -173,7 +208,7 @@ class TestTwoStageSearch:
         for i, pinned in enumerate(self.PINNED_E_AC_B):
             rho = ginibre_mixed(TRIPARTITE_QUBITS, 2, 1, i)
             assert coherent_info_lower(rho, CUT_A_BC) > 0.0
-            value, _ = ree_upper(rho, CUT_AC_B, seed=1, max_iters=120)
+            value, _ = ree_upper(rho, CUT_AC_B, seed=1)
             assert value <= pinned
 
     def test_eta_trace_kind_a_bc_is_one_sixth(self):
@@ -294,47 +329,7 @@ class TestInvariants:
             rho = vector_state(psi, TRIPARTITE_QUBITS)
             exact = pure_state_entanglement(psi, CUT_A_BC, TRIPARTITE_QUBITS)
             value, _ = ree_upper(rho, CUT_A_BC, seed=SEED)
-            assert exact - 1e-9 <= value <= exact + 2e-3
-
-
-def per_start_oracle(grad, dx, dy, b_starts):
-    """Reference for the stacked oracle: one start at a time, the first
-    start reaching the minimum wins."""
-    gt = grad.reshape(dx, dy, dx, dy)
-    best = (np.inf, None, None)
-    for b0 in b_starts:
-        b = b0 / np.linalg.norm(b0)
-        val_prev = np.inf
-        for _ in range(25):
-            mb = np.einsum("j,ijkl,l->ik", b.conj(), gt, b)
-            _, va = np.linalg.eigh(0.5 * (mb + mb.conj().T))
-            a = va[:, 0]
-            ma = np.einsum("i,ijkl,k->jl", a.conj(), gt, a)
-            wb, vb = np.linalg.eigh(0.5 * (ma + ma.conj().T))
-            b = vb[:, 0]
-            val = float(wb[0].real)
-            if abs(val_prev - val) < 1e-13:
-                break
-            val_prev = val
-        if val < best[0]:
-            best = (val, a, b)
-    return best
-
-
-class TestAlternatingOracle:
-    @pytest.mark.parametrize("dx,dy", [(4, 2), (2, 4), (3, 3)])
-    @pytest.mark.parametrize("n_starts", [1, 5])
-    def test_matches_per_start_loop(self, dx, dy, n_starts):
-        for trial in range(4):
-            seed = 1000 * dx + 100 * dy + 10 * n_starts + trial
-            grad = random_hermitian(dx * dy, seed)
-            starts = [random_unit_vector(dy, seed + 7 * (j + 1)) * (j + 1)
-                      for j in range(n_starts)]
-            want = per_start_oracle(grad, dx, dy, starts)
-            got = _alternating_oracle(grad, dx, dy, starts)
-            assert got[0] == want[0]
-            for v, w in zip(got[1:], want[1:]):
-                assert abs(np.vdot(w, v)) == pytest.approx(1.0, abs=1e-12)
+            assert exact - 1e-9 <= value <= exact + 1e-12
 
 
 class TestQuditSupport:

@@ -138,20 +138,21 @@ class TestObjective:
             objective = Objective(rho, kind)
             numeric = (objective.value(sigma + eps * h)
                        - objective.value(sigma - eps * h)) / (2 * eps)
-            analytic = np.vdot(objective.gradient(sigma), h).real
+            analytic = np.vdot(objective.evaluate(sigma)[1], h).real
             assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
 
 
     @pytest.mark.parametrize("kind", list(DistanceKind))
     def test_evaluate_pairs_value_and_gradient(self, kind):
-        # the polish reads both from one eigendecomposition
+        # the polish reads both from one eigendecomposition; the gradient
+        # is checked against central differences above
         for i in range(3):
             rho = ginibre_mixed(THREEQ, 8, 32, 2 * i).mat
             sigma = ginibre_mixed(THREEQ, 8, 32, 2 * i + 1).mat
             objective = Objective(rho, kind)
             value, grad = objective.evaluate(sigma)
             assert value == pytest.approx(objective.value(sigma), abs=1e-12)
-            assert np.array_equal(grad, objective.gradient(sigma))
+            assert grad.shape == sigma.shape
 
 
 class TestPurity:
