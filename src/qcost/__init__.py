@@ -12,7 +12,9 @@ __version__ = "0.1.0"
 import os
 
 # One OpenBLAS thread for matrices of at most 64 x 64, unless the user set
-# one; numpy reads it when it loads, and forked campaign workers inherit it.
+# one.  OpenBLAS reads it once, when numpy loads, so it takes effect only if
+# qcost is imported before numpy and scipy, as the qcost command does;
+# forked campaign workers inherit it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .measures import (DistanceKind, bures_distance, fidelity, purity,

@@ -10,13 +10,16 @@ The upper-bound search exploits that all three distance kinds are convex
 in the separable argument.  It starts from the state dephased in the
 product of its marginals' eigenbases, which is separable, has a finite
 distance to the state, and for a pure state is already the closest
-separable state in relative entropy.  One L-BFGS-B polish (Byrd, Lu,
-Nocedal and Zhu, 1995) then moves every row and weight of that start,
-plus a few seeded random product rows, at once, through unnormalised rows
-whose norms carry the weights.  The result is always a certified member
-of the separable set together with its honestly recomputed distance,
-i.e. a sound upper bound; no global-optimality claim is made, and the
-search does not report why it stopped.
+separable state in relative entropy.  Two polishes then move every row
+and weight of that start, plus a few seeded random product rows, at once,
+through unnormalised rows whose norms carry the weights: a short L-BFGS-B
+run, then a truncated Newton (TNC) run.  Between them the lightest row
+turns to the product direction that lowers the distance fastest, a
+direction that a row of small weight reaches too slowly by polishing.
+The result is always a certified member of the separable set together
+with its honestly recomputed distance, i.e. a sound upper bound; no
+global-optimality claim is made, and the search does not report why it
+stopped.
 """
 
 from __future__ import annotations
@@ -39,8 +42,14 @@ from .quantumness import MeasurementBasis, measure_channel
 # (dx*dy)**2 for every cut with dx, dy >= 2.
 _SEEDED_ROWS = 10
 _SEEDED_WEIGHT = 1e-3
-# Relative decrease of one L-BFGS-B iteration below which the polish stops.
-_FTOL = 1e-11
+# L-BFGS-B iterations before the lightest row turns.
+_FIRST_POLISH_ITERS = 100
+# Conjugate-gradient steps per truncated-Newton iteration.
+_TNC_CG_STEPS = 10
+# Alternating eigenvector updates that turn the lightest row, and the
+# weights tried for it.
+_TURN_ALTERNATIONS = 10
+_TURN_WEIGHTS = (0.0, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
 # Relative-entropy gap to the hashing lower bound within which the start is
 # returned as it is.
 _CERTIFIED_GAP = 1e-12
@@ -139,7 +148,7 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
 def ree_upper(rho: DensityMatrix, cut: Bipartition,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
               seed: int = 0,
-              max_iters: int = 300) -> tuple[float, SeparableEnsemble]:
+              max_iters: int = 250) -> tuple[float, SeparableEnsemble]:
     """Upper bound on the entanglement of rho across the cut.
 
     Returns the achieved distance together with the separable ensemble
@@ -149,15 +158,20 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
     is the only setting the search reads.
 
     The search starts from rho dephased in the product of its marginals'
-    eigenbases, at most dx*dy product rows.  One L-BFGS-B polish of at most
-    max_iters iterations then moves every row and weight of that start,
-    plus _SEEDED_ROWS random product rows of total weight _SEEDED_WEIGHT,
-    at once.  The polish also stops once one iteration lowers the value by
-    a relative amount below _FTOL.  Of the dephased start and the polished
-    ensemble, the one with the lower recomputed distance is returned.  No
-    polish runs when the hashing bound certifies the start: a
-    relative-entropy start within _CERTIFIED_GAP of coherent_info_lower,
-    as on every pure state with distinct Schmidt coefficients.
+    eigenbases, at most dx*dy product rows, plus _SEEDED_ROWS random
+    product rows of total weight _SEEDED_WEIGHT.  Two polishes then move
+    every row and weight at once:
+
+    - L-BFGS-B for at most min(_FIRST_POLISH_ITERS, max_iters) iterations;
+    - the lightest row turns to the product direction that lowers the
+      distance fastest (see _turn_lightest_row);
+    - TNC, a truncated Newton method, for at most max_iters evaluations.
+
+    Of the dephased start and the polished ensemble, the one with the
+    lower recomputed distance is returned.  No polish runs when the
+    hashing bound certifies the start: a relative-entropy start within
+    _CERTIFIED_GAP of coherent_info_lower, as on every pure state with
+    distinct Schmidt coefficients.
 
     The ensemble holds at most dx*dy + _SEEDED_ROWS product terms, within
     the (dx*dy)**2 that reach every separable state of the cut
@@ -175,8 +189,13 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
     value, ensemble = scored(start)
     if not (kind is DistanceKind.RELATIVE_ENTROPY
             and value <= coherent_info_lower(rho, cut) + _CERTIFIED_GAP):
-        polished = scored(_polish(Objective(rc.mat, kind),
-                                  *_with_seeded_rows(start, seed), max_iters))
+        objective = Objective(rc.mat, kind)
+        rows = _with_seeded_rows(start, seed)
+        seeded = rows[1][-_SEEDED_ROWS:], rows[2][-_SEEDED_ROWS:]
+        rows = _polish(objective, *rows, "L-BFGS-B",
+                       min(_FIRST_POLISH_ITERS, max_iters))
+        rows = _turn_lightest_row(objective, *rows, *seeded)
+        polished = scored(_polish(objective, *rows, "TNC", max_iters))
         if polished[0] < value:  # the start on ties
             value, ensemble = polished
     # every distance is nonnegative; on a separable state the relative
@@ -222,8 +241,9 @@ def _with_seeded_rows(rows, seed: int):
 
 
 def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
-            right: np.ndarray, max_iters: int):
-    """One L-BFGS-B run over all rows of a separable ensemble at once.
+            right: np.ndarray, method: str, budget: int):
+    """One run of scipy's L-BFGS-B (at most budget iterations) or TNC (at
+    most budget evaluations) over all rows of a separable ensemble at once.
 
     The parameters are the real and imaginary parts of unnormalised rows
     a_j, b_j, which carry the weights in their norms: x_j = a_j (x) b_j,
@@ -238,6 +258,12 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     other factor's squared norm, so on a row of small weight only the
     factor that carries the weight turns at the pace of the other rows;
     that way it is the one with more directions to explore.
+
+    L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995) is cheap per iteration.
+    TNC (Nash, 1984) builds each Newton step from Hessian-vector products,
+    differences of gradients, so it keeps converging where the curvature
+    spans many orders of magnitude, as it does once sigma has small
+    eigenvalues; there L-BFGS-B's ten stored pairs crawl.
     """
     k, dx = left.shape
     dy = right.shape[1]
@@ -266,11 +292,13 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
         dz = np.concatenate([da.ravel(), db.ravel()])
         return f, 2.0 * np.concatenate([dz.real, dz.imag])
 
-    # it ends at max_iters, when one iteration lowers f by a relative
-    # amount below _FTOL, or when its line search can no longer decrease f
+    # each ends at its budget or when its line search can no longer
+    # decrease f; TNC also on its default tests of step and gradient
+    options = ({"maxiter": budget, "ftol": 0.0, "gtol": 0.0}
+               if method == "L-BFGS-B" else
+               {"maxfun": budget, "maxCGit": _TNC_CG_STEPS})
     res = minimize(value_and_grad, np.concatenate([z0.real, z0.imag]),
-                   jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iters, "ftol": _FTOL, "gtol": 0.0})
+                   jac=True, method=method, options=options)
     a, b = rows(res.x)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
@@ -278,6 +306,50 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     keep = w > 0.0
     return (w[keep] / np.sum(w[keep]), a[keep] / na[keep, None],
             b[keep] / nb[keep, None])
+
+
+def _turn_lightest_row(objective: Objective, weights: np.ndarray,
+                       left: np.ndarray, right: np.ndarray,
+                       seeded_left: np.ndarray, seeded_right: np.ndarray):
+    """The rows with the lightest one turned to the product direction that
+    lowers the distance fastest, at the best weight of _TURN_WEIGHTS.
+
+    A row of small weight turns slowly in a polish, so a direction that
+    no row points near stays out of reach.  With G the objective's gradient
+    at sigma and H = G - <G, sigma> I, moving weight to the product state
+    x lowers the distance at rate -<x|H|x>.  Alternating bottom-eigenvector
+    updates of a and b minimize <a b|H|a b> from every row and every
+    seeded direction at once; the lowest minimum, if negative, replaces
+    the lightest row.  Its weight gamma is the best of _TURN_WEIGHTS for
+    (1 - gamma) sigma' + gamma |x><x|, sigma' being the other rows.
+    Returns (weights, left, right) rows.
+    """
+    dx, dy = left.shape[1], right.shape[1]
+    x = _product_rows(left, right)
+    sigma = (x * weights[:, None]).T @ x.conj()
+    _, g = objective.evaluate(sigma)
+    h = (g - np.vdot(sigma, g).real * np.eye(dx * dy)).reshape(dx, dy, dx, dy)
+    a = np.vstack([left, seeded_left])
+    b = np.vstack([right, seeded_right])
+    for _ in range(_TURN_ALTERNATIONS):
+        a = np.linalg.eigh(np.einsum("ijml,kj,kl->kim", h, b.conj(), b))[1][:, :, 0]
+        lows, vb = np.linalg.eigh(np.einsum("ijml,ki,km->kjl", h, a.conj(), a))
+        b = vb[:, :, 0]
+    best = int(np.argmin(lows[:, 0]))
+    if not lows[best, 0] < 0.0:
+        return weights, left, right
+    j = int(np.argmin(weights))
+    weights, left, right = weights.copy(), left.copy(), right.copy()
+    left[j], right[j], weights[j] = a[best], b[best], 0.0
+    weights /= np.sum(weights)
+    x = _product_rows(left, right)
+    rest = (x * weights[:, None]).T @ x.conj()
+    turned = np.outer(x[j], x[j].conj())
+    gamma = min(_TURN_WEIGHTS,
+                key=lambda t: objective.value((1.0 - t) * rest + t * turned))
+    weights *= 1.0 - gamma
+    weights[j] = gamma
+    return weights, left, right
 
 
 def measured_separable_upper(rho: DensityMatrix, sigma: DensityMatrix,

@@ -462,8 +462,10 @@ class TestReportHeaders:
 
 
 class TestBlasThreads:
-    """Importing qcost before numpy sets OPENBLAS_NUM_THREADS to 1 unless
-    the user set it; forked campaign workers inherit the environment."""
+    """Importing qcost sets OPENBLAS_NUM_THREADS to 1 unless the user set
+    it; forked campaign workers inherit the environment.  These check the
+    variable only: OpenBLAS reads it when numpy loads, so a process that
+    loaded numpy first, such as this test session, keeps its threads."""
 
     @staticmethod
     def threads_after_import(value):
