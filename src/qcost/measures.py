@@ -7,7 +7,9 @@ the deficit and entanglement searches, is computed through it.  The one
 exception is the one-way deficit's relative-entropy kind, which uses the
 dephasing identity S(rho') - S(rho) (see quantumness.deficit_for_basis).
 Its dephased entropy S(rho') counts every positive eigenvalue, with no
-``SUPPORT_CUTOFF`` (see quantumness._deficit_objective).
+``SUPPORT_CUTOFF`` (see quantumness._deficit_objective).  The trace
+deficit's search also descends on a smoothed trace distance, but every
+trace value it reports is computed here.
 
 Cutoffs, each guarding one numerical hazard:
 

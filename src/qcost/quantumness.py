@@ -25,6 +25,12 @@ from .qmat import (DensityMatrix, InputError, local_channel,
                    permute_subsystems)
 
 _UNITARY_TOL = 1e-10
+_LN2 = np.log(2.0)
+# The trace deficit's optimum usually sits where an eigenvalue of the
+# measured state minus the state crosses zero: a kink, on which L-BFGS-B
+# stalls.  Its search polishes on sum_k sqrt(lam_k^2 + w^2) / 2 for each
+# width w in turn, which is smooth and within n w / 2 of the trace distance.
+_TRACE_SMOOTHING = tuple(10.0 ** -k for k in range(3, 13))
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ def deficit_for_basis(rho: DensityMatrix, basis: MeasurementBasis,
     if basis.local_dim != d:
         raise InputError(f"basis dimension {basis.local_dim} != dimension {d} "
                          f"of {basis.subsystem}")
-    return _deficit_objective(rho, basis.subsystem, kind)(basis.projectors)
+    return _deficit_objective(rho, basis.subsystem, kind)(basis.unitary)
 
 
 def one_way_deficit(rho: DensityMatrix, subsystem: str,
@@ -89,23 +95,43 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
                     ) -> tuple[float, MeasurementBasis]:
     """Upper bound on the one-way deficit across subsystem|rest.
 
-    Minimizes deficit_for_basis's kernel over rank-1 projective bases:
-    Bloch angles (theta, phi) for a qubit, U = exp(iH) from d*d parameters
-    otherwise.  The value is exactly deficit_for_basis of the returned
-    basis.  The computational basis (all-zero parameters, exactly the
-    identity) is one of the starts, and Nelder-Mead never returns more than
-    its start's value, so the result never exceeds that basis's deficit.
+    Minimizes deficit_for_basis's kernel over rank-1 projective bases with
+    its analytic gradient: Bloch angles (theta, phi) for a qubit,
+    U = exp(iH) from d*d parameters otherwise.  The value is exactly
+    deficit_for_basis of the returned basis.  The computational basis
+    (all-zero parameters, exactly the identity) is one of the starts, and
+    each start reports the lowest value it evaluated, so the result never
+    exceeds that basis's deficit.  For the trace kind the best basis is
+    then carried through the smoothed trace distances of _TRACE_SMOOTHING,
+    widest first, and a basis met on the way replaces it only where its
+    exact deficit is lower.
     """
     cfg = cfg or optim.OptimizerConfig()
     d = rho.dims.dim_of(subsystem)
     n_params = 2 if d == 2 else d * d
-    objective = _deficit_objective(rho, subsystem, kind)
-
-    def deficit(params: np.ndarray) -> float:
-        return objective(_column_projectors(_basis_unitary(params, d)))
+    deficit = _in_parameters(_deficit_objective(rho, subsystem, kind), d)
     res = optim.minimize(deficit, n_params, cfg, extra_starts=[np.zeros(n_params)])
-    return res.best_value, MeasurementBasis(subsystem,
-                                            _basis_unitary(res.best_params, d))
+    value, params = res.best_value, res.best_params
+    if kind is DistanceKind.TRACE:
+        exact = _deficit_objective(rho, subsystem, kind)
+        x = params
+        for width in _TRACE_SMOOTHING:
+            smoothed = _deficit_objective(rho, subsystem, kind, smoothing=width)
+            _, x, _ = optim.descend(_in_parameters(smoothed, d), x,
+                                    cfg.max_evals_per_start)
+            value_x = exact(_basis_unitary(x, d))
+            if value_x < value:
+                value, params = value_x, x
+    return value, MeasurementBasis(subsystem, _basis_unitary(params, d))
+
+
+def _in_parameters(objective, d: int):
+    """The kernel as a function of basis parameters: (value, gradient)."""
+    def value_and_gradient(params: np.ndarray) -> tuple[float, np.ndarray]:
+        u, pullback = _basis_with_pullback(params, d)
+        value, grad_u = objective(u, gradient=True)
+        return value, pullback(grad_u)
+    return value_and_gradient
 
 
 def _column_projectors(u: np.ndarray) -> np.ndarray:
@@ -114,38 +140,88 @@ def _column_projectors(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u.T[:, :, None] * u.T.conj()[:, None, :])
 
 
-def _basis_unitary(params: np.ndarray, d: int) -> np.ndarray:
-    """Measurement basis as unitary columns: Bloch angles for a qubit,
+def _basis_with_pullback(params: np.ndarray, d: int):
+    """Measurement basis as unitary columns, with the pullback of a
+    gradient in conj(U) to the parameters: Bloch angles for a qubit,
     exp(iH) otherwise; all-zero parameters give the computational basis."""
     if d == 2:
-        return optim.bloch_unitary(params)
-    return optim.param_to_unitary(params, d)
+        return optim.bloch_with_pullback(params)
+    return optim.unitary_with_pullback(params, d)
 
 
-def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind):
-    """P -> D(rho, sum_i P_i rho P_i) for a (d, d, d) stack of rank-1
-    projectors P_i on subsystem: the one evaluator of the deficit.
+def _basis_unitary(params: np.ndarray, d: int) -> np.ndarray:
+    return _basis_with_pullback(params, d)[0]
 
-    For the relative entropy this is S(rho') - S(rho).  In the measurement
-    basis rho' is block-diagonal, so its spectrum is the union of the
-    spectra of the d blocks Tr_X[P_i rho] (contracted on the measured
-    factor): one einsum and one batched eigvalsh, no dephased matrix.
-    Every positive eigenvalue counts in S(rho'): -w log w is continuous at
-    0, so unlike a support cutoff it leaves no jump for the search to
-    exploit by pushing eigenvalues just below the cutoff.
+
+def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind,
+                       smoothing: float = 0.0):
+    """u -> D(rho, sum_i P_i rho P_i), with P_i the projector onto column
+    u_i of the unitary u on subsystem: the one evaluator of the deficit.
+    With gradient=True it returns (value, G), where column i of G is the
+    derivative in conj(u_i).
+
+    In the frame (rest, subsystem) the measured state is
+    sum_i B_i (x) P_i with blocks B_i = <u_i| rho |u_i> (contracted on the
+    measured factor).  For the relative entropy the value is
+    S(rho') - S(rho), read off the spectra of the d blocks.  Every positive
+    eigenvalue counts in S(rho'): -w log w is continuous at 0, so unlike a
+    support cutoff it leaves no jump for the search to exploit by pushing
+    eigenvalues just below the cutoff.  Its derivative in B_i is
+    -(log2 B_i + I/ln 2) on B_i's support; the null eigenvalues of a
+    rank-deficient rho stay at 0 to first order, so they contribute none.
+    For trace and Bures the distance's gradient F in the measured state
+    pulls back to F_i = <u_i| F |u_i> on the blocks and to B_i on P_i.
+    Either way G's column i is M_i u_i, with
+    M_i[x, y] = sum_rs Gamma_i[s, r] t[r, x, s, y] over the block gradient
+    Gamma_i.  The eigendecompositions are the same with and without the
+    gradient, so both return the same value.  A positive smoothing (trace
+    kind only) replaces each |lam| of the measured state minus the state
+    by sqrt(lam^2 + smoothing^2).
     """
-    objective = Objective(rho.mat, kind)
-    if kind is not DistanceKind.RELATIVE_ENTROPY:
-        return lambda projectors: objective.value(
-            local_channel(rho.mat, rho.dims, (subsystem,), projectors))
-
     d = rho.dims.dim_of(subsystem)
     r = rho.dims.total_dim // d
     rest = tuple(l for l in rho.labels if l != subsystem)
     t = permute_subsystems(rho, rest + (subsystem,)).mat.reshape(r, d, r, d)
 
-    def entropy_gain(projectors: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(np.einsum("iyx,rxsy->irs", projectors, t))
-        w = w[w > 0.0]
-        return float(-np.sum(w * np.log2(w))) + objective.neg_entropy
-    return entropy_gain
+    def pull(gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return np.einsum("isr,rxsy->ixy", gamma, m)
+
+    if kind is DistanceKind.RELATIVE_ENTROPY:
+        neg_entropy = Objective(rho.mat, kind).neg_entropy
+
+        def entropy_gain(u: np.ndarray, gradient: bool = False):
+            projectors = _column_projectors(u)
+            w, v = np.linalg.eigh(np.einsum("iyx,rxsy->irs", projectors, t))
+            support = w > 0.0
+            pos = w[support]
+            value = float(-np.sum(pos * np.log2(pos))) + neg_entropy
+            if not gradient:
+                return value
+            slope = np.zeros_like(w)
+            slope[support] = -(np.log2(pos) + 1.0 / _LN2)
+            gamma = np.einsum("irk,ik,isk->irs", v, slope, v.conj())
+            return value, np.einsum("ixy,yi->xi", pull(gamma, t), u)
+        return entropy_gain
+
+    n = rho.dims.total_dim
+    rho_t = t.reshape(n, n)
+    if smoothing:
+        def distance(sigma: np.ndarray):
+            w, v = np.linalg.eigh(sigma - rho_t)
+            root = np.sqrt(w * w + smoothing * smoothing)
+            return 0.5 * float(np.sum(root)), 0.5 * (v * (w / root)) @ v.conj().T
+    else:
+        distance = Objective(rho_t, kind).evaluate
+
+    def distance_gain(u: np.ndarray, gradient: bool = False):
+        projectors = _column_projectors(u)
+        blocks = np.einsum("iyx,rxsy->irs", projectors, t)
+        measured = np.einsum("irs,ixy->rxsy", blocks, projectors)
+        value, f = distance(measured.reshape(n, n))
+        if not gradient:
+            return value
+        f = f.reshape(r, d, r, d)
+        gamma = np.einsum("iyx,rxsy->irs", projectors, f)
+        m = pull(gamma, t) + pull(blocks, f)
+        return value, np.einsum("ixy,yi->xi", m, u)
+    return distance_gain

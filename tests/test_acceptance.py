@@ -143,7 +143,8 @@ def test_criterion_6_optimizer_calibration(capsys):
         value, _ = one_way_deficit(rho, "A", cfg=CFG)
         diff = abs(value - grid)
         worst_grid = max(worst_grid, diff)
-        grid_ok = grid_ok and diff <= 1e-3
+        # the search may land between grid points, never above the grid
+        grid_ok = grid_ok and diff <= 1e-3 and value <= grid + 1e-12
 
     elapsed = time.monotonic() - start
     with capsys.disabled():

@@ -128,7 +128,7 @@ class TestGenAndMeasure:
         with pytest.raises(SystemExit) as exc:
             cli.main(["ree", path, "--cut", "A|BC", "--restarts", "1"])
         assert exc.value.code == 2
-        # the Nelder-Mead tolerances are fixed constants
+        # the search tolerances are fixed constants
         with pytest.raises(SystemExit) as exc:
             cli.main(["deficit", path, "--xtol", "1e-6"])
         assert exc.value.code == 2

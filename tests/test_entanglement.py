@@ -144,7 +144,7 @@ class TestReeUpper:
         assert len(ensemble) <= 4 * 2 + 10 <= (4 * 2) ** 2
 
 
-class TestTwoStageSearch:
+class TestSearch:
     """The dephased start, the L-BFGS-B and TNC polishes that run from it,
     and the row turn between them."""
 

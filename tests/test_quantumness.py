@@ -4,9 +4,12 @@ from numpy.testing import assert_allclose
 
 from qcost.measures import (DistanceKind, distance, relative_entropy,
                             vn_entropy)
+from qcost import optim
 from qcost.optim import OptimizerConfig
 from qcost.qmat import DensityMatrix, InputError, SubsystemDims, embed_local
 from qcost.quantumness import (MeasurementBasis, _basis_unitary,
+                               _basis_with_pullback, _deficit_objective,
+                               _in_parameters,
                                computational_basis, deficit_for_basis,
                                measure_channel, one_way_deficit)
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
@@ -202,6 +205,26 @@ class TestOneWayDeficit:
             assert value == pytest.approx(deficit_for_basis(rho, basis, kind),
                                           abs=1e-12)
 
+    def test_trace_kind_leaves_the_kink(self):
+        # every start's L-BFGS-B run stalls on a kink of the trace distance
+        # here; the smoothed polish must carry the best basis off it
+        rho = ginibre_mixed(SubsystemDims(("A", "B", "C"), (2, 3, 2)), 8, 9, 801)
+        cfg = OptimizerConfig(seed=9)
+        stalled = optim.minimize(
+            _in_parameters(_deficit_objective(rho, "B", DistanceKind.TRACE), 3),
+            9, cfg, extra_starts=[np.zeros(9)]).best_value
+        value, basis = one_way_deficit(rho, "B", DistanceKind.TRACE, cfg)
+        assert value <= stalled - 1e-6
+        assert value == deficit_for_basis(rho, basis, DistanceKind.TRACE)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_rerun_is_bit_identical(self, kind):
+        rho = ginibre_mixed(SubsystemDims(("A", "B"), (3, 2)), 3, 13, 0)
+        v1, b1 = one_way_deficit(rho, "A", kind, OptimizerConfig(seed=5))
+        v2, b2 = one_way_deficit(rho, "A", kind, OptimizerConfig(seed=5))
+        assert v1 == v2
+        assert np.array_equal(b1.unitary, b2.unitary)
+
 
 class TestDeficitObjective:
     """deficit_for_basis, which runs the search's kernel, against the
@@ -218,6 +241,30 @@ class TestDeficitObjective:
             basis = MeasurementBasis(subsystem, haar_unitary(d, 41, i))
             want = distance(kind, rho, measure_channel(rho, basis))
             assert deficit_for_basis(rho, basis, kind) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gradient_matches_differences(self, d, kind):
+        # the search's gradient in the basis parameters, through the
+        # kernel's conj(u) gradient and the parameterization's pullback
+        dims = SubsystemDims(("A", "B", "C"), (2, 2, d))
+        n_params = 2 if d == 2 else d * d
+        h = 1e-6
+        for rank in (2, 4 * d):
+            rho = ginibre_mixed(dims, rank, 42, d)
+            objective = _deficit_objective(rho, "C", kind)
+
+            def value_and_grad(x):
+                u, pullback = _basis_with_pullback(x, d)
+                value, grad_u = objective(u, gradient=True)
+                return value, pullback(grad_u)
+
+            x = np.random.default_rng(rank).normal(size=n_params)
+            _, grad = value_and_grad(x)
+            want = np.array([(value_and_grad(x + h * e)[0]
+                              - value_and_grad(x - h * e)[0]) / (2 * h)
+                             for e in np.eye(n_params)])
+            assert np.max(np.abs(grad - want)) <= 1e-6 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_zero_parameters_give_computational_basis(self, d):
