@@ -34,6 +34,25 @@ class TestMinimize:
         res = minimize(lambda x: (7.25, np.zeros(3)), 3, CFG)
         assert res.best_value == 7.25
 
+    def test_infinite_values_reflected_away(self):
+        def fenced(x):
+            if x[0] < 0:
+                return np.inf, np.zeros(1)
+            return float((x[0] - 2.0) ** 2), 2.0 * (x - 2.0)
+
+        res = minimize(fenced, 1, CFG)
+        assert res.best_value <= 1e-10
+
+    def test_nan_treated_as_infinite(self):
+        # a NaN value never wins the comparison that keeps the best point
+        def sometimes_nan(x):
+            if abs(x[0]) > 1.0:
+                return np.nan, np.full(1, np.nan)
+            return float(x[0] ** 2), 2.0 * x
+
+        res = minimize(sometimes_nan, 1, CFG)
+        assert np.isfinite(res.best_value)
+
     def test_determinism(self):
         r1 = minimize(rosenbrock, 2, CFG)
         r2 = minimize(rosenbrock, 2, CFG)
