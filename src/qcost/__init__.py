@@ -32,4 +32,14 @@ from .entanglement import (SeparableEnsemble, coherent_info_lower,
 from .statezoo import (eta_state, ghz_state, ginibre_mixed, haar_pure,
                        haar_unitary)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DistanceKind", "bures_distance", "fidelity", "purity", "relative_entropy",
+    "trace_distance", "vn_entropy", "OptimizerConfig", "OptResult", "minimize",
+    "Bipartition", "DensityMatrix", "InputError", "SubsystemDims", "embed_local",
+    "load_state", "partial_trace", "partial_transpose", "permute_subsystems",
+    "save_state", "vector_state", "MeasurementBasis", "computational_basis",
+    "deficit_for_basis", "measure_channel", "one_way_deficit",
+    "SeparableEnsemble", "coherent_info_lower", "ensemble_to_state",
+    "measured_separable_upper", "ppt_min_eigenvalue", "pure_state_entanglement",
+    "ree_upper", "eta_state", "ghz_state", "ginibre_mixed", "haar_pure",
+    "haar_unitary"]

@@ -7,9 +7,9 @@ optimizer-produced numbers always place upper bounds on the large side
 and certified lower bounds on the small side, so a violation can never be
 an artifact of a lazy optimizer.
 
-Default tolerances separate the numerical noise floors: 1e-8 for exact
-identities, 1e-9 for analytic inequalities, 1e-6 for optimizer-mediated
-checks.
+Fixed tolerances separate the numerical noise floors: TOL_IDENTITY for
+exact identities, TOL_ANALYTIC for analytic inequalities, TOL_OPTIMIZER
+for optimizer-mediated checks; each report records the one it used.
 """
 
 from __future__ import annotations
@@ -80,14 +80,13 @@ class AuditReport:
 
 
 def collinearity_check(rho: DensityMatrix, sigma: DensityMatrix,
-                       basis: MeasurementBasis, state_id: str = "",
-                       tolerance: float = TOL_IDENTITY) -> AuditReport:
+                       basis: MeasurementBasis, state_id: str = "") -> AuditReport:
     """Exact identity: measuring both states with one local basis puts the
     state, its dephasing, and the dephased reference on a straight line,
     S(rho||sigma') = S(rho||rho') + S(rho'||sigma').
 
     This is an equality check: the report is violated when |slack| exceeds
-    the tolerance, not only on the negative side.
+    TOL_IDENTITY, not only on the negative side.
     """
     rho_p = measure_channel(rho, basis)
     sigma_p = measure_channel(sigma, basis)
@@ -97,7 +96,7 @@ def collinearity_check(rho: DensityMatrix, sigma: DensityMatrix,
     finite = all(np.isfinite(x) for x in (whole, leg_one, leg_two))
     if finite:
         slack = whole - leg_one - leg_two
-        violated = bool(abs(slack) > tolerance)
+        violated = bool(abs(slack) > TOL_IDENTITY)
     elif whole == np.inf and (leg_one == np.inf or leg_two == np.inf):
         slack, violated = 0.0, False  # consistently infinite on both sides
     else:
@@ -109,13 +108,13 @@ def collinearity_check(rho: DensityMatrix, sigma: DensityMatrix,
             "S(rho||rho_meas)": Quantity(leg_one, TAG_EXACT),
             "S(rho_meas||sigma_meas)": Quantity(leg_two, TAG_EXACT),
         },
-        float(slack), violated, tolerance,
+        float(slack), violated, TOL_IDENTITY,
     )
 
 
 def dpi_check(rho: DensityMatrix, sigma: DensityMatrix, basis: MeasurementBasis,
               kind: DistanceKind = DistanceKind.RELATIVE_ENTROPY,
-              state_id: str = "", tolerance: float = TOL_ANALYTIC) -> AuditReport:
+              state_id: str = "") -> AuditReport:
     """Data processing: the distance must not grow under the measurement
     channel; slack = D(rho, sigma) - D(rho', sigma') >= 0."""
     before = distance(kind, rho, sigma)
@@ -130,21 +129,19 @@ def dpi_check(rho: DensityMatrix, sigma: DensityMatrix, basis: MeasurementBasis,
             "D(rho,sigma)": Quantity(before, TAG_EXACT),
             "D(rho_meas,sigma_meas)": Quantity(after, TAG_EXACT),
         },
-        float(slack), bool(slack < -tolerance), tolerance,
+        float(slack), bool(slack < -TOL_ANALYTIC), TOL_ANALYTIC,
     )
 
 
-def main_inequality_audit(rho: DensityMatrix,
-                          cfg: OptimizerConfig | None = None,
-                          state_id: str = "",
-                          tolerance: float = TOL_OPTIMIZER) -> AuditReport:
+def main_inequality_audit(rho: DensityMatrix, cfg: OptimizerConfig | None = None,
+                          state_id: str = "") -> AuditReport:
     """Central cost bound on (A, B, C): the deficit of the sent particle
     plus the initial-cut entanglement must cover the final-cut
     entanglement.
 
     slack = upper(delta C|AB) + upper(E AC|B) - lower(E A|BC); the single
     lower bound sits on the entanglement being explained, so slack <
-    -tolerance falsifies the inequality rather than the optimizers.
+    -TOL_OPTIMIZER falsifies the inequality rather than the optimizers.
 
     When that lower bound is not positive the slack is a sum of two
     nonnegative upper bounds and cannot fail, so neither search runs and
@@ -180,12 +177,11 @@ def main_inequality_audit(rho: DensityMatrix,
             "E_AC|B_upper": Quantity(float(upper_e_init), TAG_UPPER),
             "delta_C|AB_upper": Quantity(float(upper_delta), TAG_UPPER),
         },
-        float(slack), bool(slack < -tolerance), tolerance, extra=extra,
+        float(slack), bool(slack < -TOL_OPTIMIZER), TOL_OPTIMIZER, extra=extra,
     )
 
 
-def pure_chain_check(psi, dims: SubsystemDims, state_id: str = "",
-                     tolerance: float = TOL_ANALYTIC) -> AuditReport:
+def pure_chain_check(psi, dims: SubsystemDims, state_id: str = "") -> AuditReport:
     """Two-sided sandwich specialized to pure states, where deficit equals
     entanglement and everything reduces to exact reduced entropies:
     |S_B - S_C| <= S_A <= S_B + S_C."""
@@ -208,14 +204,13 @@ def pure_chain_check(psi, dims: SubsystemDims, state_id: str = "",
             "slack_lo": Quantity(slack_lo, TAG_EXACT),
             "slack_hi": Quantity(slack_hi, TAG_EXACT),
         },
-        float(slack), bool(slack < -tolerance), tolerance,
+        float(slack), bool(slack < -TOL_ANALYTIC), TOL_ANALYTIC,
     )
 
 
 def distance_chain_check(rho: DensityMatrix, sigma: DensityMatrix,
                          basis: MeasurementBasis, kind: DistanceKind,
-                         state_id: str = "",
-                         tolerance: float = TOL_ANALYTIC) -> AuditReport:
+                         state_id: str = "") -> AuditReport:
     """Generalized-distance triangle chain through the dephased state:
     D(rho, sigma') <= D(rho, rho') + D(rho', sigma').
 
@@ -239,7 +234,7 @@ def distance_chain_check(rho: DensityMatrix, sigma: DensityMatrix,
             "D(rho,rho_meas)": Quantity(leg_one, TAG_EXACT),
             "D(rho_meas,sigma_meas)": Quantity(leg_two, TAG_EXACT),
         },
-        float(slack), bool(asserted and slack < -tolerance), tolerance,
+        float(slack), bool(asserted and slack < -TOL_ANALYTIC), TOL_ANALYTIC,
         extra={"asserted": asserted},
     )
 
@@ -255,10 +250,6 @@ _CHECK_KINDS = {"collinearity": _RE_ONLY, "dpi": tuple(DistanceKind),
                 "distance-chain": (DistanceKind.TRACE, DistanceKind.BURES),
                 "protocol": _RE_ONLY}
 CAMPAIGN_CHECKS = tuple(_CHECK_KINDS)
-
-
-def _campaign_state_id(check: str, seed: int, index: int) -> str:
-    return f"{check}-{seed}-{index}"
 
 
 def _campaign_kind(check: str, dims: SubsystemDims,
@@ -283,7 +274,7 @@ def campaign_sample(check: str, dims: SubsystemDims, seed: int, index: int,
     """Audit one counter-addressed random sample of a campaign; the
     measured subsystem is the last label."""
     kind = _campaign_kind(check, dims, kind)
-    state_id = _campaign_state_id(check, seed, index)
+    state_id = f"{check}-{seed}-{index}"
 
     def pair():
         rho = ginibre_mixed(dims, dims.total_dim, seed, 2 * index)

@@ -30,10 +30,10 @@ from .inequality import TOL_OPTIMIZER
 from .measures import DistanceKind
 from .optim import OptimizerConfig
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
-                   local_channel, matrix_from_json, matrix_to_json,
+                   load_state, local_channel, matrix_from_json, matrix_to_json,
                    state_from_json_dict, state_to_json_dict, vector_state)
 from .quantumness import one_way_deficit
-from .statezoo import haar_unitary
+from .statezoo import haar_pure, haar_unitary
 
 ALICE = "Alice"
 BOB = "Bob"
@@ -218,7 +218,7 @@ def run_protocol(script: ProtocolScript,
 # Script file format and shipped example scripts.
 # ----------------------------------------------------------------------
 
-def script_from_json_dict(data: dict, base_dir: str = ".") -> ProtocolScript:
+def script_from_json_dict(data: dict, base_dir: str) -> ProtocolScript:
     try:
         initial = data["initial_state"]
         owner = data["owner_of_C"]
@@ -229,7 +229,6 @@ def script_from_json_dict(data: dict, base_dir: str = ".") -> ProtocolScript:
                                                   for raw in steps_raw):
         raise InputError("script steps must be a list of objects")
     if isinstance(initial, str):
-        from .qmat import load_state
         state = load_state(os.path.join(base_dir, initial))
     else:
         state = state_from_json_dict(initial)
@@ -288,7 +287,6 @@ def round_trip_script(seed: int = 5) -> ProtocolScript:
     """Two channel uses: send C to Bob, let Bob act unitarily on BC, send
     C back.  On pure inputs every audited quantity is an exact entropy."""
     dims = SubsystemDims(("A", "B", "C"), (2, 2, 2))
-    from .statezoo import haar_pure
     psi = haar_pure(dims, seed, 0)
     state = vector_state(psi, dims)
     u = haar_unitary(4, seed, 1)
@@ -302,7 +300,6 @@ def round_trip_script(seed: int = 5) -> ProtocolScript:
 def random_script(seed: int, index: int) -> ProtocolScript:
     """Random pure-state script with unitary-only LOCC, for campaigns."""
     dims = SubsystemDims(("A", "B", "C"), (2, 2, 2))
-    from .statezoo import haar_pure
     psi = haar_pure(dims, seed, index)
     state = vector_state(psi, dims)
     gen = rng.stream(seed, index, purpose=rng.PURPOSE_SCRIPT)

@@ -174,9 +174,8 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind,
     Either way G's column i is M_i u_i, with
     M_i[x, y] = sum_rs Gamma_i[s, r] t[r, x, s, y] over the block gradient
     Gamma_i.  The eigendecompositions are the same with and without the
-    gradient, so both return the same value.  A positive smoothing (trace
-    kind only) replaces each |lam| of the measured state minus the state
-    by sqrt(lam^2 + smoothing^2).
+    gradient, so both return the same value.  The smoothing is
+    ``Objective``'s, so it takes the trace kind only.
     """
     d = rho.dims.dim_of(subsystem)
     r = rho.dims.total_dim // d
@@ -187,7 +186,7 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind,
         return np.einsum("isr,rxsy->ixy", gamma, m)
 
     if kind is DistanceKind.RELATIVE_ENTROPY:
-        neg_entropy = Objective(rho.mat, kind).neg_entropy
+        neg_entropy = Objective(rho.mat, kind, smoothing).neg_entropy
 
         def entropy_gain(u: np.ndarray, gradient: bool = False):
             projectors = _column_projectors(u)
@@ -204,14 +203,7 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind,
         return entropy_gain
 
     n = rho.dims.total_dim
-    rho_t = t.reshape(n, n)
-    if smoothing:
-        def distance(sigma: np.ndarray):
-            w, v = np.linalg.eigh(sigma - rho_t)
-            root = np.sqrt(w * w + smoothing * smoothing)
-            return 0.5 * float(np.sum(root)), 0.5 * (v * (w / root)) @ v.conj().T
-    else:
-        distance = Objective(rho_t, kind).evaluate
+    distance = Objective(t.reshape(n, n), kind, smoothing).evaluate
 
     def distance_gain(u: np.ndarray, gradient: bool = False):
         projectors = _column_projectors(u)

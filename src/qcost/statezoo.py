@@ -40,7 +40,7 @@ def eta_state() -> DensityMatrix:
     return DensityMatrix.trusted(mat, TRIPARTITE_QUBITS)
 
 
-def eta_separable_ensemble(cut_left: str = "AC"):
+def eta_separable_ensemble(cut_left: str):
     """Exact six-term product decomposition of eta across AC|B or AB|C.
 
     Returns (weights, left, right) as stacked rows in the local basis of

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ class TestGenAndMeasure:
                 "--index", "4", "--out", p1)
         run_cli(capsys, "gen", "--family", "ginibre", "--seed", "9",
                 "--index", "4", "--out", p2)
-        assert open(p1).read() == open(p2).read()
+        with open(p1) as f1, open(p2) as f2:
+            assert f1.read() == f2.read()
 
     def test_malformed_state_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -312,7 +314,8 @@ class TestCampaignCommand:
         code, out = run_cli(capsys, "campaign", "--check", "pure-chain",
                             "--samples", "25", "--output", out_path)
         assert code == 0
-        lines = open(out_path).read().strip().splitlines()
+        with open(out_path) as fh:
+            lines = fh.read().strip().splitlines()
         assert len(lines) == 25
         first = json.loads(lines[0])
         assert set(first) == {"check_name", "state_id", "quantities", "slack",
@@ -451,7 +454,8 @@ class TestReportHeaders:
         assert report["version"]
         assert report["config"] == {"seed": 123, "output": "stdout",
                                     "format": "json"}
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         assert report["inputs"][path] == digest
 
     def test_twelve_significant_digits(self, tmp_path, capsys):
@@ -484,3 +488,13 @@ class TestBlasThreads:
 
     def test_user_value_kept(self):
         assert self.threads_after_import("3") == "3"
+
+
+class TestPackageExports:
+    def test_star_import_exports_no_module(self):
+        namespace = {}
+        exec("from qcost import *", namespace)
+        exported = {k: v for k, v in namespace.items() if k != "__builtins__"}
+        assert set(exported) == set(qcost.__all__)
+        assert not [k for k, v in exported.items()
+                    if isinstance(v, types.ModuleType)]

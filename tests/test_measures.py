@@ -154,6 +154,52 @@ class TestObjective:
             assert value == pytest.approx(objective.value(sigma), abs=1e-12)
             assert grad.shape == sigma.shape
 
+    @pytest.mark.parametrize("mu", [1e-2, 1e-4])
+    def test_smoothed_trace_gradient_matches_central_differences(self, mu):
+        eps = 1e-8
+        for i in range(5):
+            rho = ginibre_mixed(THREEQ, 8, 33, 2 * i).mat
+            sigma = ginibre_mixed(THREEQ, 8, 33, 2 * i + 1).mat
+            h = random_hermitian(8, 330 + i)
+            h -= np.trace(h).real / 8 * np.eye(8)
+            objective = Objective(rho, DistanceKind.TRACE, mu)
+            numeric = (objective.value(sigma + eps * h)
+                       - objective.value(sigma - eps * h)) / (2 * eps)
+            analytic = np.vdot(objective.evaluate(sigma)[1], h).real
+            assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+    @pytest.mark.parametrize("mu", [1e-1, 1e-3, 1e-6])
+    def test_smoothed_trace_is_within_n_mu_over_two(self, mu):
+        for i in range(5):
+            rho = ginibre_mixed(THREEQ, 2, 34, 2 * i).mat
+            sigma = ginibre_mixed(THREEQ, 8, 34, 2 * i + 1).mat
+            exact = Objective(rho, DistanceKind.TRACE).value(sigma)
+            for gradient in (False, True):
+                smoothed = Objective(rho, DistanceKind.TRACE, mu).evaluate(
+                    sigma, gradient)[0]
+                assert exact <= smoothed <= exact + 8 * mu / 2
+
+    def test_unsmoothed_trace_is_the_kinked_formula(self):
+        # 0.5 sum |lam| and 0.5 V sign(lam) V^dag, the formulas the smoothed
+        # one replaced, bit for bit; sigma = rho adds exact zero eigenvalues
+        for i in range(5):
+            rho = ginibre_mixed(THREEQ, 2, 35, 2 * i).mat
+            for sigma in (ginibre_mixed(THREEQ, 8, 35, 2 * i + 1).mat, rho):
+                objective = Objective(rho, DistanceKind.TRACE)
+                w = np.linalg.eigvalsh(rho - sigma)
+                assert objective.value(sigma) == float(0.5 * np.sum(np.abs(w)))
+                w, v = np.linalg.eigh(sigma - rho)
+                value, grad = objective.evaluate(sigma)
+                assert value == float(0.5 * np.sum(np.abs(w)))
+                assert np.array_equal(grad, 0.5 * (v * np.sign(w)) @ v.conj().T)
+
+    @pytest.mark.parametrize("kind", [DistanceKind.RELATIVE_ENTROPY,
+                                      DistanceKind.BURES])
+    def test_smoothing_is_trace_only(self, kind):
+        rho = ginibre_mixed(THREEQ, 8, 36, 0).mat
+        with pytest.raises(InputError):
+            Objective(rho, kind, 1e-3)
+
 
 class TestPurity:
     def test_pure_and_mixed(self):
