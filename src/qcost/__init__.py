@@ -9,13 +9,13 @@ multi-round distribution-protocol budget.
 
 __version__ = "0.1.0"
 
-import os
+import os as _os
 
 # One OpenBLAS thread for matrices of at most 64 x 64, unless the user set
 # one.  OpenBLAS reads it once, when numpy loads, so it takes effect only if
 # qcost is imported before numpy and scipy, as the qcost command does;
 # forked campaign workers inherit it.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .measures import (DistanceKind, bures_distance, fidelity, purity,
                        relative_entropy, trace_distance, vn_entropy)
@@ -32,14 +32,6 @@ from .entanglement import (SeparableEnsemble, coherent_info_lower,
 from .statezoo import (eta_state, ghz_state, ginibre_mixed, haar_pure,
                        haar_unitary)
 
-__all__ = [
-    "DistanceKind", "bures_distance", "fidelity", "purity", "relative_entropy",
-    "trace_distance", "vn_entropy", "OptimizerConfig", "OptResult", "minimize",
-    "Bipartition", "DensityMatrix", "InputError", "SubsystemDims", "embed_local",
-    "load_state", "partial_trace", "partial_transpose", "permute_subsystems",
-    "save_state", "vector_state", "MeasurementBasis", "computational_basis",
-    "deficit_for_basis", "measure_channel", "one_way_deficit",
-    "SeparableEnsemble", "coherent_info_lower", "ensemble_to_state",
-    "measured_separable_upper", "ppt_min_eigenvalue", "pure_state_entanglement",
-    "ree_upper", "eta_state", "ghz_state", "ginibre_mixed", "haar_pure",
-    "haar_unitary"]
+# Functions and classes only: each submodule import also binds a module here.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(_os))]

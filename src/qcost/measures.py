@@ -78,12 +78,11 @@ class Objective:
     relative entropy, sqrt(rho) for Bures; the trace kind needs neither.
     rho is the state and sigma the reference, as in ``distance``.
 
-    The trace kind alone takes a smoothing mu (Nesterov, "Smooth
-    minimization of non-smooth functions", Math. Program. 2005): it is
-    0.5 sum sqrt(lam^2 + mu^2) over the eigenvalues lam of sigma - rho,
-    with gradient 0.5 V diag(lam / sqrt(lam^2 + mu^2)) V^dag, 0 where the
-    root is 0.  It lies within n mu / 2 above the trace distance, which it
-    equals bit for bit at mu = 0 (an |lam| below 1e-154 squares to 0).
+    The trace kind alone takes a smoothing mu (Nesterov, Math. Program.
+    2005): 0.5 sum sqrt(lam^2 + mu^2) over the eigenvalues lam of
+    sigma - rho, with gradient 0.5 V diag(lam / root) V^dag (0 where the
+    root is 0), within n mu / 2 above the trace distance and equal to it
+    bit for bit at mu = 0 (bar an |lam| < 1e-154, whose square is 0).
     """
 
     def __init__(self, rho_mat: np.ndarray, kind: DistanceKind,

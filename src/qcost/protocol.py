@@ -270,12 +270,12 @@ def load_script(path) -> ProtocolScript:
     return script_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def trivial_distribution_script(theta: float = np.pi / 5) -> ProtocolScript:
+def trivial_distribution_script() -> ProtocolScript:
     """Alice locally prepares a pure state on A and C with Schmidt angle
-    theta, then sends C to Bob: the cost of the single send matches the
+    pi/5, then sends C to Bob: the cost of the single send matches the
     entanglement it establishes."""
     dims = SubsystemDims(("A", "B", "C"), (2, 2, 2))
-    amp0, amp1 = np.cos(theta), np.sin(theta)
+    amp0, amp1 = np.cos(np.pi / 5), np.sin(np.pi / 5)
     psi = np.zeros(8, dtype=complex)
     psi[0b000] = amp0  # |0_A 0_B 0_C>
     psi[0b101] = amp1  # |1_A 0_B 1_C>
