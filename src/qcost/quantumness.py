@@ -10,7 +10,8 @@ those columns, evaluates the deficit for both ``deficit_for_basis`` and the
 search, which parameterizes a qubit basis by its Bloch angles and a qudit
 basis by U = exp(iH); for the relative-entropy kind it reads the dephased
 spectrum off the d diagonal blocks of the state in the measurement basis
-instead of building the dephased state.
+instead of building the dephased state.  The trace kind's search descends
+on measures.Objective's smoothed trace distance but reports exact values.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ _UNITARY_TOL = 1e-10
 _LN2 = np.log(2.0)
 # The trace deficit's optimum usually sits where an eigenvalue of the
 # measured state minus the state crosses zero: a kink, on which L-BFGS-B
-# stalls.  Its search polishes on sum_k sqrt(lam_k^2 + w^2) / 2 for each
-# width w in turn, which is smooth and within n w / 2 of the trace distance.
+# stalls.  Its search runs on Objective's smoothed trace distance for each
+# width w in turn, widest first, which is within n w / 2 of the exact one.
 _TRACE_SMOOTHING = tuple(10.0 ** -k for k in range(3, 13))
 
 
@@ -101,28 +102,31 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
     deficit_for_basis of the returned basis.  The computational basis
     (all-zero parameters, exactly the identity) is one of the starts, and
     each start reports the lowest value it evaluated, so the result never
-    exceeds that basis's deficit.  For the trace kind the best basis is
-    then carried through the smoothed trace distances of _TRACE_SMOOTHING,
-    widest first, and a basis met on the way replaces it only where its
-    exact deficit is lower.
+    exceeds that basis's deficit.  The trace kind runs the multi-start
+    search on the widest smoothed distance of _TRACE_SMOOTHING, then one
+    descent per narrower width from the last point, and keeps the lowest
+    exact deficit among the computational basis and those points.
     """
     cfg = cfg or optim.OptimizerConfig()
     d = rho.dims.dim_of(subsystem)
     n_params = 2 if d == 2 else d * d
-    deficit = _in_parameters(_deficit_objective(rho, subsystem, kind), d)
-    res = optim.minimize(deficit, n_params, cfg, extra_starts=[np.zeros(n_params)])
-    value, params = res.best_value, res.best_params
-    if kind is DistanceKind.TRACE:
-        exact = _deficit_objective(rho, subsystem, kind)
-        x = params
-        for width in _TRACE_SMOOTHING:
-            smoothed = _deficit_objective(rho, subsystem, kind, smoothing=width)
-            _, x, _ = optim.descend(_in_parameters(smoothed, d), x,
-                                    cfg.max_evals_per_start)
-            value_x = exact(_basis_unitary(x, d))
-            if value_x < value:
-                value, params = value_x, x
-    return value, MeasurementBasis(subsystem, _basis_unitary(params, d))
+    start = np.zeros(n_params)
+    if kind is not DistanceKind.TRACE:
+        deficit = _in_parameters(_deficit_objective(rho, subsystem, kind), d)
+        res = optim.minimize(deficit, n_params, cfg, extra_starts=[start])
+        return res.best_value, MeasurementBasis(
+            subsystem, _basis_unitary(res.best_params, d))
+    widest, *narrower = [_in_parameters(_deficit_objective(rho, subsystem, kind, w), d)
+                         for w in _TRACE_SMOOTHING]
+    x = optim.minimize(widest, n_params, cfg, extra_starts=[start]).best_params
+    points = [start, x]
+    for smoothed in narrower:
+        _, x, _ = optim.descend(smoothed, x, cfg.max_evals_per_start)
+        points.append(x)
+    exact = _deficit_objective(rho, subsystem, kind)
+    values = [exact(_basis_unitary(p, d)) for p in points]
+    best = values.index(min(values))
+    return values[best], MeasurementBasis(subsystem, _basis_unitary(points[best], d))
 
 
 def _in_parameters(objective, d: int):

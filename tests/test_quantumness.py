@@ -217,6 +217,18 @@ class TestOneWayDeficit:
         assert value <= stalled - 1e-6
         assert value == deficit_for_basis(rho, basis, DistanceKind.TRACE)
 
+    def test_trace_kind_finds_the_second_basin(self):
+        # the kinked exact distance sends the computational start and every
+        # seeded start into a basin 4.4e-3 above the one the smoothed
+        # distance leads to
+        rho = ginibre_mixed(TRIPARTITE_QUBITS, 8, 7, 28)
+        value, basis = one_way_deficit(rho, "A", DistanceKind.TRACE,
+                                       OptimizerConfig(seed=42))
+        assert value <= 0.243922 + 1e-9
+        assert value == deficit_for_basis(rho, basis, DistanceKind.TRACE)
+        assert value <= deficit_for_basis(rho, computational_basis("A", 2),
+                                          DistanceKind.TRACE)
+
     @pytest.mark.parametrize("kind", list(DistanceKind))
     def test_rerun_is_bit_identical(self, kind):
         rho = ginibre_mixed(SubsystemDims(("A", "B"), (3, 2)), 3, 13, 0)
