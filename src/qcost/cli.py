@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=tuple(_KINDS), default=None,
                    help="distance kind (default: the check's own; only "
                         "dpi and distance-chain take another)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: QCOST_THREADS or machine)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default 1: in this process)")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     _add_common(p)
     p.set_defaults(func=cmd_campaign)

@@ -147,16 +147,11 @@ def unitary_with_pullback(params: np.ndarray, d: int):
     return u, pullback
 
 
-def bloch_unitary(params: np.ndarray) -> np.ndarray:
-    """Qubit unitary from Bloch angles (theta, phi): its first column is the
-    Bloch vector (sin theta cos phi, sin theta sin phi, cos theta), its
-    second the antipode.  (0, 0) gives the identity."""
-    return bloch_with_pullback(params)[0]
-
-
 def bloch_with_pullback(params: np.ndarray):
-    """(bloch_unitary(params), pullback): pullback(G) turns
-    G = dF/d conj(U) into (dF/d theta, dF/d phi)."""
+    """(U, pullback) for a qubit basis from Bloch angles (theta, phi): U's
+    first column is the Bloch vector (sin theta cos phi, sin theta sin phi,
+    cos theta), its second the antipode, and (0, 0) gives the identity.
+    pullback(G) turns G = dF/d conj(U) into (dF/d theta, dF/d phi)."""
     p = np.asarray(params, dtype=float).reshape(-1)
     if p.shape[0] != 2:
         raise InputError(f"need 2 Bloch angles, got {p.shape[0]}")

@@ -65,7 +65,7 @@ class Step:
                 if k.ndim != 2 or k.shape != (d, d):
                     raise InputError("Kraus operators must be square and equally sized")
                 acc += k.conj().T @ k
-            if np.max(np.abs(acc - np.eye(d))) > _KRAUS_TOL:
+            if not np.max(np.abs(acc - np.eye(d))) <= _KRAUS_TOL:  # NaN fails too
                 raise InputError("Kraus operators do not satisfy sum K^dag K = I")
             object.__setattr__(self, "kraus", ops)
         elif self.party is not None and self.party not in (ALICE, BOB):
@@ -238,8 +238,11 @@ def script_from_json_dict(data: dict, base_dir: str) -> ProtocolScript:
         if kind == SEND_C:
             steps.append(Step(SEND_C, party=raw.get("party")))
         elif kind == LOCAL_CHANNEL:
+            kraus = raw.get("kraus", [])
+            if not isinstance(kraus, list):
+                raise InputError("a local channel's kraus must be a list of matrices")
             steps.append(Step(LOCAL_CHANNEL, party=raw.get("party"),
-                              kraus=tuple(matrix_from_json(k) for k in raw.get("kraus", []))))
+                              kraus=tuple(matrix_from_json(k) for k in kraus)))
         else:
             raise InputError(f"unknown step kind {kind!r}")
     return ProtocolScript(state, owner, tuple(steps))

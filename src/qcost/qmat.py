@@ -141,10 +141,10 @@ class DensityMatrix:
         self._set_matrix(self.mat)
         m = self.mat
         herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # NaN fails too
             raise InputError(f"matrix is not Hermitian: residual {herm:.3e}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InputError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
         w, v = np.linalg.eigh(m)
         if w[0] < -EIGENVALUE_DUST:
@@ -191,7 +191,7 @@ def vector_state(psi, dims: SubsystemDims) -> DensityMatrix:
     if v.shape[0] != dims.total_dim:
         raise InputError(f"vector length {v.shape[0]} != total dim {dims.total_dim}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise InputError(f"vector norm {norm!r} differs from 1 by more than 1e-9")
     v = v / norm
     return DensityMatrix.trusted(np.outer(v, v.conj()), dims)
@@ -203,6 +203,8 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[str]) -> DensityMatrix:
     if not traced:
         raise InputError("must trace out at least one subsystem")
     idx = sorted(rho.dims.index_of(l) for l in traced)
+    if len(set(idx)) != len(idx):
+        raise InputError(f"partial trace repeats a subsystem: {traced}")
     if len(idx) >= len(rho.labels):
         raise InputError("cannot trace out every subsystem")
     dims = rho.dims.dims

@@ -49,7 +49,7 @@ class MeasurementBasis:
             raise InputError(f"basis unitary must be square, got shape {u.shape}")
         if u.shape[0] < 2:
             raise InputError("measurement needs local dimension >= 2")
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > _UNITARY_TOL:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= _UNITARY_TOL:
             raise InputError("basis matrix is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -98,32 +98,28 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
 
     Minimizes deficit_for_basis's kernel over rank-1 projective bases with
     its analytic gradient: Bloch angles (theta, phi) for a qubit,
-    U = exp(iH) from d*d parameters otherwise.  The value is exactly
-    deficit_for_basis of the returned basis.  The computational basis
-    (all-zero parameters, exactly the identity) is one of the starts, and
-    each start reports the lowest value it evaluated, so the result never
-    exceeds that basis's deficit.  The trace kind runs the multi-start
-    search on the widest smoothed distance of _TRACE_SMOOTHING, then one
-    descent per narrower width from the last point, and keeps the lowest
-    exact deficit among the computational basis and those points.
+    U = exp(iH) from d*d parameters otherwise.  Every kind takes one path:
+    a multi-start search whose starts include the computational basis
+    (all-zero parameters, exactly the identity), then, for the trace kind
+    only, one descent per narrower width of _TRACE_SMOOTHING from the last
+    point, the search having run on the widest.  The result is the lowest
+    exact deficit among the computational basis and the points the widths
+    end at, so it is exactly deficit_for_basis of the returned basis and
+    never exceeds the computational basis's deficit.
     """
     cfg = cfg or optim.OptimizerConfig()
     d = rho.dims.dim_of(subsystem)
     n_params = 2 if d == 2 else d * d
     start = np.zeros(n_params)
-    if kind is not DistanceKind.TRACE:
-        deficit = _in_parameters(_deficit_objective(rho, subsystem, kind), d)
-        res = optim.minimize(deficit, n_params, cfg, extra_starts=[start])
-        return res.best_value, MeasurementBasis(
-            subsystem, _basis_unitary(res.best_params, d))
-    widest, *narrower = [_in_parameters(_deficit_objective(rho, subsystem, kind, w), d)
-                         for w in _TRACE_SMOOTHING]
+    exact = _deficit_objective(rho, subsystem, kind)
+    kernels = ([_deficit_objective(rho, subsystem, kind, w) for w in _TRACE_SMOOTHING]
+               if kind is DistanceKind.TRACE else [exact])
+    widest, *narrower = [_in_parameters(k, d) for k in kernels]
     x = optim.minimize(widest, n_params, cfg, extra_starts=[start]).best_params
     points = [start, x]
     for smoothed in narrower:
         _, x, _ = optim.descend(smoothed, x, cfg.max_evals_per_start)
         points.append(x)
-    exact = _deficit_objective(rho, subsystem, kind)
     values = [exact(_basis_unitary(p, d)) for p in points]
     best = values.index(min(values))
     return values[best], MeasurementBasis(subsystem, _basis_unitary(points[best], d))

@@ -22,7 +22,7 @@ PURPOSE_SCRIPT = 4
 PURPOSE_SEEDED_ROWS = 5
 
 
-def stream(seed: int, index: int, purpose: int = 0) -> np.random.Generator:
+def stream(seed: int, index: int, purpose: int) -> np.random.Generator:
     """Return the Philox stream addressed by (seed, index, purpose)."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
@@ -30,7 +30,7 @@ def stream(seed: int, index: int, purpose: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def normals(seed: int, index: int, n: int, purpose: int = 0) -> np.ndarray:
+def normals(seed: int, index: int, n: int, purpose: int) -> np.ndarray:
     """n standard normal variates via Box-Muller on the uniform stream."""
     gen = stream(seed, index, purpose)
     pairs = (n + 1) // 2
@@ -41,7 +41,7 @@ def normals(seed: int, index: int, n: int, purpose: int = 0) -> np.ndarray:
     return z[:n]
 
 
-def complex_normals(seed: int, index: int, n: int, purpose: int = 0) -> np.ndarray:
+def complex_normals(seed: int, index: int, n: int, purpose: int) -> np.ndarray:
     """n standard complex normal variates (unit total variance per entry)."""
     z = normals(seed, index, 2 * n, purpose)
     return (z[:n] + 1j * z[n:]) / np.sqrt(2.0)

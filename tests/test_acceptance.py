@@ -1,8 +1,8 @@
 """Acceptance gate: every shipped claim, each at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
-per criterion.  The campaign criteria are sized for a single core; they
-honor QCOST_THREADS like the CLI does.
+per criterion.  The campaign criteria are sized for a single core and,
+like the CLI's default, run their samples in this process.
 """
 
 import json

@@ -76,6 +76,20 @@ class TestGenAndMeasure:
         code, _ = run_cli(capsys, "measure", str(path))
         assert code == 2
 
+    def test_nan_entry_is_an_input_error(self, tmp_path, capsys):
+        data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
+                                                TRIPARTITE_QUBITS))
+        data["matrix"][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        for argv in (["measure", str(path)],
+                     ["deficit", str(path), "--basis", "computational"],
+                     ["deficit", str(path)]):
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:"), argv
+            assert captured.out == "", argv
+
     def test_non_integer_dims(self, tmp_path, capsys):
         data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
                                                 TRIPARTITE_QUBITS))
@@ -370,6 +384,18 @@ class TestCampaignCommand:
         assert all(r["violated"] and "vacuous" not in r for r in reports)
         assert "vacuous" not in out
 
+    def test_default_runs_in_process(self, capsys, monkeypatch):
+        import qcost.inequality as inequality
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the campaign started worker processes")
+        monkeypatch.setattr(inequality, "ProcessPoolExecutor", no_pool)
+        code, out = run_cli(capsys, "campaign", "--check", "collinearity",
+                            "--samples", "3")
+        assert code == 0
+        assert json.loads("\n".join(out.strip().splitlines()[3:]))[
+            "summary"]["samples"] == 3
+
     def test_bad_dims(self, capsys):
         code, _ = run_cli(capsys, "campaign", "--check", "pure-chain",
                           "--dims", "2,x")
@@ -414,6 +440,15 @@ class TestProtocolCommand:
         step = next(s for s in data["steps"] if s["kind"] == "LOCAL_CHANNEL")
         step["kraus"][0][1] = step["kraus"][0][1][:-1]
         path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["protocol", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_kraus_entry_is_an_input_error(self, tmp_path, capsys):
+        data = script_to_json_dict(round_trip_script())
+        step = next(s for s in data["steps"] if s["kind"] == "LOCAL_CHANNEL")
+        step["kraus"][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert cli.main(["protocol", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -336,13 +336,14 @@ class TestCampaign:
             campaign_sample("distance-chain", TRIPARTITE_QUBITS, 63, 0,
                             DistanceKind.RELATIVE_ENTROPY)
 
-    def test_worker_cap_from_environment(self, monkeypatch):
-        from qcost.inequality import campaign_workers
-        monkeypatch.setenv("QCOST_THREADS", "3")
-        assert campaign_workers() == 3
-        monkeypatch.setenv("QCOST_THREADS", "bogus")
-        with pytest.raises(InputError):
-            campaign_workers()
+    def test_default_runs_in_process(self, monkeypatch):
+        import qcost.inequality as inequality
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the campaign started worker processes")
+        monkeypatch.setattr(inequality, "ProcessPoolExecutor", no_pool)
+        reports, _ = run_campaign("main", TRIPARTITE_QUBITS, 3, 64)
+        assert [r.state_id for r in reports] == [f"main-64-{i}" for i in range(3)]
 
     def test_protocol_campaign_small(self):
         reports, summary = run_campaign("protocol", TRIPARTITE_QUBITS, 2, 57,

@@ -27,6 +27,12 @@ class TestSteps:
         with pytest.raises(InputError):
             Step(LOCAL_CHANNEL, party=ALICE, kraus=(np.eye(2) * 0.5,))
 
+    def test_nan_kraus_entry_rejected(self):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = np.nan
+        with pytest.raises(InputError):
+            Step(LOCAL_CHANNEL, party=ALICE, kraus=(k,))
+
     def test_dephasing_kraus_accepted(self):
         k0 = np.diag([1.0, 0.0])
         k1 = np.diag([0.0, 1.0])
@@ -190,5 +196,15 @@ class TestScriptFiles:
             "initial_state": {"labels": ["A", "B", "C"], "dims": [2, 2, 2],
                               "matrix": [[[1.0, 0.0]]]},
             "owner_of_C": "Alice", "steps": []}))
+        with pytest.raises(InputError):
+            load_script(path)
+
+    @pytest.mark.parametrize("kraus", [None, 5])
+    def test_kraus_not_a_list(self, tmp_path, kraus):
+        data = script_to_json_dict(round_trip_script())
+        step = next(s for s in data["steps"] if s["kind"] == LOCAL_CHANNEL)
+        step["kraus"] = kraus
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(InputError):
             load_script(path)

@@ -8,7 +8,7 @@ from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
                         embed_local, load_state, local_channel, partial_trace,
                         partial_transpose, partial_transpose_matrix,
                         permute_subsystems, save_state, state_from_json_dict,
-                        state_to_json_dict)
+                        state_to_json_dict, vector_state)
 from qcost.statezoo import ghz_state
 
 from conftest import bell_dm
@@ -72,6 +72,10 @@ class TestPartialTrace:
     def test_cannot_trace_everything(self):
         with pytest.raises(InputError):
             partial_trace(bell_dm(), ("A", "B"))
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(InputError):
+            partial_trace(ghz_state(), ("A", "A"))
 
 
 class TestPartialTranspose:
@@ -286,6 +290,18 @@ class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(InputError):
             dm(np.array([[0.5, 0.1], [0.0, 0.5]]), ("A",), (2,))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_entry_rejected(self, entry):
+        # NaN passes any plain `>` check, so the checks must fail it
+        mat = np.eye(2, dtype=complex) / 2
+        mat[entry] = np.nan
+        with pytest.raises(InputError):
+            dm(mat, ("A",), (2,))
+
+    def test_nan_vector_rejected(self):
+        with pytest.raises(InputError):
+            vector_state(np.array([np.nan, 1.0]), SubsystemDims(("A",), (2,)))
 
     def test_matrix_is_immutable(self):
         rho = bell_dm()

@@ -54,6 +54,12 @@ class TestMeasurementBasis:
         with pytest.raises(InputError):
             MeasurementBasis("A", np.full((2, 2), 0.5))
 
+    def test_rejects_nan(self):
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = np.nan
+        with pytest.raises(InputError):
+            MeasurementBasis("A", u)
+
     def test_rejects_one_by_one(self):
         with pytest.raises(InputError):
             MeasurementBasis("A", np.eye(1))
