@@ -217,7 +217,7 @@ def cmd_campaign(args) -> int:
                                     workers=args.workers)
     header = _header(args, "campaign")
     header.update({"check": args.check, "dims": list(dims.dims),
-                   "samples": args.samples})
+                   "samples": args.samples, "workers": args.workers})
     lines = [json.dumps(_round12(r.to_json_dict())) for r in reports]
     if args.output:
         with open(args.output, "w") as fh:

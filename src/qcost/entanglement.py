@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rng
 from .measures import (DistanceKind, Objective, distance, relative_entropy,
@@ -78,7 +77,7 @@ class SeparableEnsemble:
             raise InputError("weights (k,), left (k, dx) and right (k, dy) "
                              "must have equal row counts")
         # negated comparisons, so that NaN entries fail
-        if not (np.all(w >= 0.0) and abs(np.sum(w) - 1.0) <= 1e-12):
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
             raise InputError("weights must be nonnegative and sum to 1")
         for rows in (left, right):
             if not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= 1e-10):
@@ -221,7 +220,7 @@ def _dephased_start(mat: np.ndarray, dx: int, dy: int):
     prods = _product_rows(left, right)
     w = np.einsum("ki,ij,kj->k", prods.conj(), mat, prods).real
     keep = w > 1e-14
-    return w[keep] / np.sum(w[keep]), left[keep], right[keep]
+    return w[keep] / w[keep].sum(), left[keep], right[keep]
 
 
 def _with_seeded_rows(rows, seed: int):
@@ -265,32 +264,38 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     spans many orders of magnitude, as it does once sigma has small
     eigenvalues; there L-BFGS-B's ten stored pairs crawl.
     """
+    from scipy.optimize import minimize  # ~0.5 s, on first use
+
     k, dx = left.shape
     dy = right.shape[1]
     scale = np.sqrt(weights)[:, None]
     a0, b0 = (left * scale, right) if dx >= dy else (left, right * scale)
     z0 = np.concatenate([a0.ravel(), b0.ravel()])
+    n_a, n_z = k * dx, z0.size
     eye = np.eye(dx * dy)
 
     def rows(p):
-        z = p[:z0.size] + 1j * p[z0.size:]
-        return z[:k * dx].reshape(k, dx), z[k * dx:].reshape(k, dy)
+        z = p[:n_z] + 1j * p[n_z:]
+        return z[:n_a].reshape(k, dx), z[n_a:].reshape(k, dy)
 
     def value_and_grad(p):
         a, b = rows(p)
         x = _product_rows(a, b)
         s = x.T @ x.conj()
-        tr = float(np.trace(s).real)
+        tr = float(s.trace().real)
         sigma = s / tr
         f, g = objective.evaluate(sigma)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(p)
         h = (g - np.vdot(sigma, g).real * eye) / tr
         hx = (x @ h.T).reshape(k, dx, dy)
-        da = np.einsum("kij,kj->ki", hx, b.conj())
-        db = np.einsum("kij,ki->kj", hx, a.conj())
-        dz = np.concatenate([da.ravel(), db.ravel()])
-        return f, 2.0 * np.concatenate([dz.real, dz.imag])
+        dz = np.empty(n_z, dtype=complex)
+        np.einsum("kij,kj->ki", hx, b.conj(), out=dz[:n_a].reshape(k, dx))
+        np.einsum("kij,ki->kj", hx, a.conj(), out=dz[n_a:].reshape(k, dy))
+        grad = np.empty(2 * n_z)
+        np.multiply(dz.real, 2.0, out=grad[:n_z])
+        np.multiply(dz.imag, 2.0, out=grad[n_z:])
+        return f, grad
 
     # each ends at its budget or when its line search can no longer
     # decrease f; TNC also on its default tests of step and gradient
@@ -304,7 +309,7 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     nb = np.linalg.norm(b, axis=1)
     w = (na * nb) ** 2
     keep = w > 0.0
-    return (w[keep] / np.sum(w[keep]), a[keep] / na[keep, None],
+    return (w[keep] / w[keep].sum(), a[keep] / na[keep, None],
             b[keep] / nb[keep, None])
 
 
@@ -341,7 +346,7 @@ def _turn_lightest_row(objective: Objective, weights: np.ndarray,
     j = int(np.argmin(weights))
     weights, left, right = weights.copy(), left.copy(), right.copy()
     left[j], right[j], weights[j] = a[best], b[best], 0.0
-    weights /= np.sum(weights)
+    weights /= weights.sum()
     x = _product_rows(left, right)
     rest = (x * weights[:, None]).T @ x.conj()
     turned = np.outer(x[j], x[j].conj())

@@ -322,7 +322,9 @@ def run_campaign(check: str, dims: SubsystemDims, samples: int, seed: int,
     kind = _campaign_kind(check, dims, kind)
     if samples < 1:
         raise InputError("samples must be >= 1")
-    workers = max(1, min(workers, samples))
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, samples)
     sample = partial(campaign_sample, check, dims, seed, kind=kind)
     if workers == 1:
         reports = list(map(sample, range(samples)))

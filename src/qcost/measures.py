@@ -57,18 +57,18 @@ def _check_same_dims(a: DensityMatrix, b: DensityMatrix) -> None:
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -sum(lam * log2 lam) in bits."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho.mat))
+    return entropy_of_spectrum(rho.eigenvalues)
 
 
 def entropy_of_spectrum(eigenvalues) -> float:
     w = np.asarray(eigenvalues, dtype=float)
     w = w[w > SUPPORT_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    return float(-(w * np.log2(w)).sum())
 
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states, 1/d for maximally mixed."""
-    return float(np.sum(np.abs(rho.mat) ** 2))
+    return float((np.abs(rho.mat) ** 2).sum())
 
 
 class Objective:
@@ -96,7 +96,7 @@ class Objective:
             self.neg_entropy = -entropy_of_spectrum(np.linalg.eigvalsh(rho_mat))
         elif kind is DistanceKind.BURES:
             w, v = np.linalg.eigh(rho_mat)
-            self.sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+            self.sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
         elif kind is not DistanceKind.TRACE:
             raise InputError(f"unknown distance kind {kind!r}")
 
@@ -117,17 +117,20 @@ class Objective:
             s, v = np.linalg.eigh(sigma)
             vr = v.conj().T @ self.rho
             weights = np.einsum("ij,ji->i", vr, v).real
-            outside = s <= SUPPORT_CUTOFF
-            if np.sum(np.clip(weights[outside], 0.0, None)) > SUPPORT_LEAK_TOL:
-                value = np.inf
+            s = np.maximum(s, SUPPORT_CUTOFF)
+            logs = np.log2(s)
+            if s[0] > SUPPORT_CUTOFF:  # ascending: all of s is on the support
+                value = self.neg_entropy - float((weights * logs).sum())
             else:
-                keep = ~outside
-                value = self.neg_entropy - float(np.sum(weights[keep]
-                                                        * np.log2(s[keep])))
+                outside = s <= SUPPORT_CUTOFF
+                if np.maximum(weights[outside], 0.0).sum() > SUPPORT_LEAK_TOL:
+                    value = np.inf
+                else:
+                    keep = ~outside
+                    value = self.neg_entropy - float((weights[keep]
+                                                      * logs[keep]).sum())
             if not gradient:
                 return value, None
-            s = np.clip(s, SUPPORT_CUTOFF, None)
-            logs = np.log2(s)
             diff = s[:, None] - s[None, :]
             near = np.abs(diff) <= DEGENERACY_TOL
             safe_diff = np.where(near, 1.0, diff)
@@ -139,17 +142,17 @@ class Objective:
             mu2 = self.smoothing * self.smoothing
             if not gradient:
                 w = np.linalg.eigvalsh(self.rho - sigma)
-                return float(0.5 * np.sum(np.sqrt(w * w + mu2))), None
+                return float(0.5 * np.sqrt(w * w + mu2).sum()), None
             w, v = np.linalg.eigh(sigma - self.rho)
             root = np.sqrt(w * w + mu2)
             slope = np.divide(w, root, out=np.zeros_like(w), where=root > 0.0)
-            return float(0.5 * np.sum(root)), 0.5 * (v * slope) @ v.conj().T
+            return float(0.5 * root.sum()), 0.5 * (v * slope) @ v.conj().T
         if not gradient:
             return float(2.0 * (1.0 - np.sqrt(self.fidelity(sigma)))), None
         w, v = np.linalg.eigh(self.sqrt_rho @ sigma @ self.sqrt_rho)
         value = float(2.0 * (1.0 - np.sqrt(_fidelity_of_spectrum(w))))
         inv_sqrt = np.where(w > BURES_NULL_TOL,
-                            1.0 / np.sqrt(np.clip(w, BURES_NULL_TOL, None)), 0.0)
+                            1.0 / np.sqrt(np.maximum(w, BURES_NULL_TOL)), 0.0)
         mid = (v * inv_sqrt) @ v.conj().T
         return value, -self.sqrt_rho @ mid @ self.sqrt_rho
 
@@ -158,7 +161,7 @@ def _fidelity_of_spectrum(w: np.ndarray) -> float:
     """(sum sqrt w)^2 over the eigenvalues of sqrt(rho) sigma sqrt(rho),
     dust zeroed, clipped to [0, 1]."""
     w = np.where(w < FIDELITY_DUST, 0.0, w)
-    f = float(np.sum(np.sqrt(w)) ** 2)
+    f = float(np.sqrt(w).sum() ** 2)
     return min(max(f, 0.0), 1.0)
 
 

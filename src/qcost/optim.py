@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import rng
 from .qmat import InputError
@@ -87,21 +86,32 @@ def descend(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
 
     The point is the lowest-valued one the run evaluated, so the value is
     never above x0's; it is evaluated once more, so the value is the one
-    the point achieves.
+    the point achieves.  The run keeps each point's value and gradient: a
+    point that L-BFGS-B's line search evaluates again, and that last
+    evaluation, read them instead of calling the objective.  The count of
+    evaluations still counts them, as scipy's count plus one.
     """
+    from scipy.optimize import minimize as scipy_minimize  # ~0.5 s, on first use
+
     seen = [np.inf, x0]
+    memo = {}
 
     def tracked(x: np.ndarray):
+        key = x.tobytes()
+        if key in memo:
+            value, grad = memo[key]
+            return value, grad.copy()
         value, grad = objective(x)
+        memo[key] = value, grad.copy()
         if value < seen[0]:
             seen[:] = value, x.copy()
         return value, grad
 
-    res = _scipy_minimize(tracked, x0, jac=True, method="L-BFGS-B",
-                          options={"maxfun": max_evals, "ftol": _DECREASE_TOL,
-                                   "gtol": _GRADIENT_TOL})
+    res = scipy_minimize(tracked, x0, jac=True, method="L-BFGS-B",
+                         options={"maxfun": max_evals, "ftol": _DECREASE_TOL,
+                                  "gtol": _GRADIENT_TOL})
     x = seen[1]
-    return float(objective(x)[0]), x, int(res.nfev) + 1
+    return float(tracked(x)[0]), x, int(res.nfev) + 1
 
 
 def param_to_unitary(params: np.ndarray, d: int) -> np.ndarray:

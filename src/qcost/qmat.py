@@ -7,14 +7,20 @@ dimensions (d_A, d_B, d_C), basis state |a b c> sits at index
 package uses this one convention.
 
 All values are immutable after construction and every operation is a pure
-function, so everything here is safe to share across threads.
+function, so everything here is safe to share across threads.  Data that
+an immutable value determines is computed once: a ``SubsystemDims``'s
+total dimension at construction, a ``DensityMatrix``'s spectrum on first
+access.  Two threads that read a spectrum first at the same time may both
+compute it; they compute the same array, and one of them is kept.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +43,7 @@ class SubsystemDims:
 
     labels: tuple[str, ...]
     dims: tuple[int, ...]
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -50,14 +57,11 @@ class SubsystemDims:
             raise InputError(f"labels must be unique, got {self.labels}")
         if any(d < 2 for d in self.dims):
             raise InputError(f"every subsystem dimension must be >= 2, got {self.dims}")
+        object.__setattr__(self, "total_dim", math.prod(self.dims))
         if self.total_dim > MAX_TOTAL_DIM:
             raise InputError(
                 f"total dimension {self.total_dim} exceeds MAX_TOTAL_DIM={MAX_TOTAL_DIM}"
             )
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
 
     def index_of(self, label: str) -> int:
         try:
@@ -69,7 +73,7 @@ class SubsystemDims:
         return self.dims[self.index_of(label)]
 
     def subset_dim(self, labels: Iterable[str]) -> int:
-        return int(np.prod([self.dim_of(l) for l in labels])) if labels else 1
+        return math.prod(self.dim_of(l) for l in labels)
 
 
 @dataclass(frozen=True)
@@ -140,21 +144,25 @@ class DensityMatrix:
     def __post_init__(self):
         self._set_matrix(self.mat)
         m = self.mat
-        herm = np.max(np.abs(m - m.conj().T))
-        if not herm <= HERMITICITY_TOL:  # NaN fails too
+        if not np.isfinite(m).all():
+            raise InputError("matrix has an infinite or NaN entry")
+        herm = np.abs(m - m.conj().T).max()
+        if not herm <= HERMITICITY_TOL:
             raise InputError(f"matrix is not Hermitian: residual {herm:.3e}")
-        tr = np.trace(m).real
+        tr = m.trace().real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise InputError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL}")
+        # The eigenvalues of eigh may differ from eigvalsh's in the last
+        # bits, so they do not seed the cached spectrum.
         w, v = np.linalg.eigh(m)
         if w[0] < -EIGENVALUE_DUST:
             raise InputError(
                 f"matrix has eigenvalue {w[0]:.3e} below -{EIGENVALUE_DUST}"
             )
         if w[0] < 0.0:
-            w = np.clip(w, 0.0, None)
+            w = np.maximum(w, 0.0)
             m = (v * w) @ v.conj().T
-            self._set_matrix(m / np.trace(m).real)
+            self._set_matrix(m / m.trace().real)
 
     def _set_matrix(self, mat) -> None:
         m = _as_complex_matrix(mat)
@@ -183,6 +191,14 @@ class DensityMatrix:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.dims.labels
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, ``np.linalg.eigvalsh(self.mat)``, computed
+        on first access and kept as a read-only array."""
+        w = np.linalg.eigvalsh(self.mat)
+        w.setflags(write=False)
+        return w
 
 
 def vector_state(psi, dims: SubsystemDims) -> DensityMatrix:
@@ -233,7 +249,7 @@ def partial_transpose_matrix(mat: np.ndarray, dims: Sequence[int],
     axes = list(range(2 * n))
     for i in parts:
         axes[i], axes[n + i] = axes[n + i], axes[i]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return t.transpose(axes).reshape(d, d)
 
 
@@ -256,7 +272,7 @@ def permute_matrix(mat: np.ndarray, dims: Sequence[int],
         raise InputError(f"{perm} is not a permutation of 0..{n - 1}")
     t = m.reshape(tuple(dims) * 2)
     axes = list(perm) + [p + n for p in perm]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return np.ascontiguousarray(t.transpose(axes)).reshape(d, d)
 
 
@@ -279,8 +295,8 @@ def embed_local(op: np.ndarray, target: str, dims: SubsystemDims) -> np.ndarray:
         raise InputError(
             f"operator dimension {op.shape[0]} != subsystem dimension {dims.dims[pos]}"
         )
-    before = int(np.prod(dims.dims[:pos])) if pos else 1
-    after = int(np.prod(dims.dims[pos + 1:])) if pos + 1 < len(dims.dims) else 1
+    before = math.prod(dims.dims[:pos])
+    after = math.prod(dims.dims[pos + 1:])
     return np.kron(np.kron(np.eye(before), op), np.eye(after))
 
 
@@ -300,18 +316,20 @@ def local_channel(mat: np.ndarray, dims: SubsystemDims, held: Sequence[str],
     perm = [dims.index_of(l) for l in order]
     dh = dims.subset_dim(held)
     dr = dims.total_dim // dh
+    try:
+        ops = np.asarray(ops, dtype=complex)
+    except ValueError:  # operators of different shapes
+        raise InputError("operators must all have one shape") from None
+    if ops.ndim != 3 or ops.shape[1:] != (dh, dh):
+        raise InputError(
+            f"operators of shape {ops.shape[1:]} do not act on dimension {dh} of {held}"
+        )
     t = permute_matrix(mat, dims.dims, perm).reshape(dh, dr * dh * dr)
-    out = np.zeros((dh, dr, dh, dr), dtype=complex)
-    for k in ops:
-        k = _as_complex_matrix(k)
-        if k.shape[0] != dh:
-            raise InputError(
-                f"operator dimension {k.shape[0]} != dimension {dh} of {held}"
-            )
-        x = (k @ t).reshape(dh, dr, dh, dr)
-        out += np.swapaxes(np.swapaxes(x, 2, 3) @ k.conj().T, 2, 3)
+    out = np.zeros((dh, dr, dr, dh), dtype=complex)  # right factors swapped
+    for k, k_dag in zip(ops, ops.conj().swapaxes(1, 2)):
+        out += (k @ t).reshape(dh, dr, dh, dr).swapaxes(2, 3) @ k_dag
     inv = [order.index(l) for l in dims.labels]
-    return permute_matrix(out.reshape(dh * dr, dh * dr),
+    return permute_matrix(out.swapaxes(2, 3).reshape(dh * dr, dh * dr),
                           [dims.dims[p] for p in perm], inv)
 
 

@@ -17,11 +17,12 @@ on measures.Objective's smoothed trace distance but reports exact values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import optim
-from .measures import DistanceKind, Objective
+from .measures import DistanceKind, Objective, entropy_of_spectrum
 from .qmat import (DensityMatrix, InputError, local_channel,
                    permute_subsystems)
 
@@ -38,7 +39,8 @@ _TRACE_SMOOTHING = tuple(10.0 ** -k for k in range(3, 13))
 class MeasurementBasis:
     """Rank-1 projective measurement on one subsystem, stored as the
     read-only unitary whose columns are the measured vectors.  Checking
-    U^dag U = I makes the column projectors a complete orthogonal set."""
+    U^dag U = I makes the column projectors a complete orthogonal set;
+    their read-only stack is built on first access."""
 
     subsystem: str
     unitary: np.ndarray
@@ -49,7 +51,7 @@ class MeasurementBasis:
             raise InputError(f"basis unitary must be square, got shape {u.shape}")
         if u.shape[0] < 2:
             raise InputError("measurement needs local dimension >= 2")
-        if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= _UNITARY_TOL:
+        if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= _UNITARY_TOL:
             raise InputError("basis matrix is not unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -58,14 +60,17 @@ class MeasurementBasis:
     def local_dim(self) -> int:
         return self.unitary.shape[0]
 
-    @property
+    @cached_property
     def projectors(self) -> np.ndarray:
         """(d, d, d) stack of the projectors onto the unitary's columns."""
-        return _column_projectors(self.unitary)
+        p = _column_projectors(self.unitary)
+        p.setflags(write=False)
+        return p
 
 
+@lru_cache(maxsize=256)
 def computational_basis(subsystem: str, d: int) -> MeasurementBasis:
-    """Projectors |i><i| for i = 0..d-1."""
+    """Projectors |i><i| for i = 0..d-1; one shared basis per (subsystem, d)."""
     return MeasurementBasis(subsystem, np.eye(d))
 
 
@@ -186,14 +191,14 @@ def _deficit_objective(rho: DensityMatrix, subsystem: str, kind: DistanceKind,
         return np.einsum("isr,rxsy->ixy", gamma, m)
 
     if kind is DistanceKind.RELATIVE_ENTROPY:
-        neg_entropy = Objective(rho.mat, kind, smoothing).neg_entropy
+        neg_entropy = -entropy_of_spectrum(rho.eigenvalues)
 
         def entropy_gain(u: np.ndarray, gradient: bool = False):
             projectors = _column_projectors(u)
             w, v = np.linalg.eigh(np.einsum("iyx,rxsy->irs", projectors, t))
             support = w > 0.0
             pos = w[support]
-            value = float(-np.sum(pos * np.log2(pos))) + neg_entropy
+            value = float(-(pos * np.log2(pos)).sum()) + neg_entropy
             if not gradient:
                 return value
             slope = np.zeros_like(w)

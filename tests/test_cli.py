@@ -90,6 +90,20 @@ class TestGenAndMeasure:
             assert captured.err.startswith("error:"), argv
             assert captured.out == "", argv
 
+    def test_infinite_entry_is_an_input_error(self, tmp_path, capsys):
+        # refused with one message, and without a warning first (the suite
+        # turns warnings into errors)
+        data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
+                                                TRIPARTITE_QUBITS))
+        data["matrix"][0][0] = [float("inf"), 0.0]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        assert "Infinity" in path.read_text()
+        assert cli.main(["measure", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix has an infinite or NaN entry\n"
+        assert captured.out == ""
+
     def test_non_integer_dims(self, tmp_path, capsys):
         data = state_to_json_dict(DensityMatrix(np.eye(8, dtype=complex) / 8,
                                                 TRIPARTITE_QUBITS))
@@ -396,6 +410,23 @@ class TestCampaignCommand:
         assert json.loads("\n".join(out.strip().splitlines()[3:]))[
             "summary"]["samples"] == 3
 
+    def test_header_echoes_workers(self, capsys):
+        for argv, workers in (([], 1), (["--workers", "1"], 1)):
+            code, out = run_cli(capsys, "campaign", "--check", "collinearity",
+                                "--samples", "2", *argv)
+            assert code == 0
+            header = json.loads("\n".join(out.strip().splitlines()[2:]))
+            assert header["workers"] == workers
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused(self, capsys, workers):
+        code = cli.main(["campaign", "--check", "collinearity", "--samples",
+                         "2", "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: workers must be >= 1")
+        assert captured.out == ""
+
     def test_bad_dims(self, capsys):
         code, _ = run_cli(capsys, "campaign", "--check", "pure-chain",
                           "--dims", "2,x")
@@ -523,6 +554,28 @@ class TestBlasThreads:
 
     def test_user_value_kept(self):
         assert self.threads_after_import("3") == "3"
+
+
+class TestLazyScipy:
+    """scipy.optimize, slow to import, loads when a search first runs."""
+
+    def test_loaded_by_the_first_search(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qcost.__file__))
+        code = "\n".join([
+            "import sys",
+            "import qcost.cli",
+            "from qcost import computational_basis, deficit_for_basis, one_way_deficit",
+            "from qcost.statezoo import TRIPARTITE_QUBITS, ginibre_mixed",
+            "rho = ginibre_mixed(TRIPARTITE_QUBITS, 2, 1, 0)",
+            "deficit_for_basis(rho, computational_basis('C', 2))",
+            "print('scipy.optimize' in sys.modules)",
+            "one_way_deficit(rho, 'C')",
+            "print('scipy.optimize' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestPackageExports:

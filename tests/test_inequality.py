@@ -336,6 +336,11 @@ class TestCampaign:
             campaign_sample("distance-chain", TRIPARTITE_QUBITS, 63, 0,
                             DistanceKind.RELATIVE_ENTROPY)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_refused(self, workers):
+        with pytest.raises(InputError, match="workers must be >= 1"):
+            run_campaign("collinearity", TRIPARTITE_QUBITS, 2, 0, workers=workers)
+
     def test_default_runs_in_process(self, monkeypatch):
         import qcost.inequality as inequality
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qcost.optim import (OptimizerConfig, bloch_with_pullback,
+from qcost import optim
+from qcost.optim import (OptimizerConfig, bloch_with_pullback, descend,
                          minimize, param_to_unitary, unitary_with_pullback)
+from qcost.measures import DistanceKind
 from qcost.qmat import InputError
+from qcost.quantumness import _deficit_objective, _in_parameters
+from qcost.statezoo import TRIPARTITE_QUBITS, ginibre_mixed
 
 CFG = OptimizerConfig(seed=3)
 
@@ -91,6 +95,73 @@ class TestMinimize:
             OptimizerConfig(restarts=0)
         with pytest.raises(InputError):
             OptimizerConfig(max_evals_per_start=0)
+
+
+class TestDescend:
+    @staticmethod
+    def deficit_search_objective():
+        rho = ginibre_mixed(TRIPARTITE_QUBITS, 2, 7, 0)
+        return _in_parameters(_deficit_objective(
+            rho, "C", DistanceKind.RELATIVE_ENTROPY), 2)
+
+    @staticmethod
+    def unmemoized_descend(objective, x0, max_evals):
+        """descend without its memo: every evaluation calls the objective."""
+        from scipy.optimize import minimize as scipy_minimize
+        seen = [np.inf, x0]
+
+        def tracked(x):
+            value, grad = objective(x)
+            if value < seen[0]:
+                seen[:] = value, x.copy()
+            return value, grad
+
+        res = scipy_minimize(tracked, x0, jac=True, method="L-BFGS-B",
+                             options={"maxfun": max_evals,
+                                      "ftol": optim._DECREASE_TOL,
+                                      "gtol": optim._GRADIENT_TOL})
+        x = seen[1]
+        return float(objective(x)[0]), x, int(res.nfev) + 1
+
+    @pytest.mark.parametrize("name", ["deficit", "rosenbrock"])
+    def test_one_call_per_distinct_point(self, name):
+        objective = (self.deficit_search_objective() if name == "deficit"
+                     else rosenbrock)
+        points = []
+
+        def counted(x):
+            points.append(x.tobytes())
+            return objective(x)
+
+        x0 = np.array([0.3, 0.2])
+        value, x, evals = descend(counted, x0, 20000)
+        want_value, want_x, want_evals = self.unmemoized_descend(objective, x0, 20000)
+        assert value == want_value
+        assert np.array_equal(x, want_x)
+        assert evals == want_evals
+        assert len(points) == len(set(points))
+        # the last evaluation is always a revisit; the deficit search's line
+        # search revisits more points
+        assert len(points) < evals
+        if name == "deficit":
+            assert len(points) < evals - 1
+
+    def test_objective_may_reuse_its_gradient_array(self):
+        # the memo keeps a copy of each gradient, so an objective that
+        # overwrites one array on every call leaves revisits intact
+        objective = self.deficit_search_objective()
+        buffer = np.empty(2)
+
+        def reusing(x):
+            value, grad = objective(x)
+            buffer[:] = grad
+            return value, buffer
+
+        x0 = np.array([0.3, 0.2])
+        value, x, evals = descend(reusing, x0, 20000)
+        want_value, want_x, want_evals = descend(objective, x0, 20000)
+        assert (value, evals) == (want_value, want_evals)
+        assert np.array_equal(x, want_x)
 
 
 def assert_pullback_matches_differences(with_pullback, n_params, gen):

@@ -9,7 +9,7 @@ from qcost.qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
                         partial_transpose, partial_transpose_matrix,
                         permute_subsystems, save_state, state_from_json_dict,
                         state_to_json_dict, vector_state)
-from qcost.statezoo import ghz_state
+from qcost.statezoo import ghz_state, ginibre_mixed
 
 from conftest import bell_dm
 
@@ -299,6 +299,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(InputError):
             dm(mat, ("A",), (2,))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_entry_rejected(self, value):
+        # one clear error, raised before the Hermiticity residual, which
+        # would warn on inf - inf (the suite turns warnings into errors)
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = value
+        with pytest.raises(InputError, match="infinite or NaN"):
+            dm(mat, ("A",), (2,))
+
     def test_nan_vector_rejected(self):
         with pytest.raises(InputError):
             vector_state(np.array([np.nan, 1.0]), SubsystemDims(("A",), (2,)))
@@ -321,6 +330,39 @@ class TestDensityMatrixValidation:
         assert dm(mixed, ("A",), (4,)) != dm(mixed, ("A", "B"), (2, 2))
         with pytest.raises(TypeError):
             hash(bell_dm())
+
+
+class TestDerivedData:
+    """What an immutable value determines is computed once, and equals a
+    fresh computation bit for bit."""
+
+    @staticmethod
+    def states():
+        dims = SubsystemDims(("A", "B", "C"), (2, 3, 2))
+        dust = dm(np.diag([1.0 + 5e-10, -5e-10]), ("A",), (2,))
+        rho = ginibre_mixed(dims, 5, 3, 0)
+        return {"trusted": rho, "validated": DensityMatrix(rho.mat, dims),
+                "dust-clipped": dust, "permuted": permute_subsystems(rho, ("C", "A", "B")),
+                "pure": ghz_state()}
+
+    def test_eigenvalues_equal_fresh_eigvalsh(self):
+        for name, rho in self.states().items():
+            w = rho.eigenvalues
+            assert np.array_equal(w, np.linalg.eigvalsh(rho.mat)), name
+            assert rho.eigenvalues is w, name
+
+    def test_eigenvalues_read_only(self):
+        for name, rho in self.states().items():
+            with pytest.raises(ValueError):
+                rho.eigenvalues[0] = 1.0
+
+    def test_total_dim_is_a_plain_int(self):
+        dims = SubsystemDims(("A", "B", "C"), (2, 3, 4))
+        assert dims.total_dim == 24 and type(dims.total_dim) is int
+        assert dims.subset_dim(("A", "C")) == 8 and dims.subset_dim(()) == 1
+        # derived, so not part of equality or repr
+        assert dims == SubsystemDims(("A", "B", "C"), (2, 3, 4))
+        assert "total_dim" not in repr(dims)
 
 
 class TestBipartition:

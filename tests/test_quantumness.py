@@ -8,8 +8,8 @@ from qcost import optim
 from qcost.optim import OptimizerConfig
 from qcost.qmat import DensityMatrix, InputError, SubsystemDims, embed_local
 from qcost.quantumness import (MeasurementBasis, _basis_unitary,
-                               _basis_with_pullback, _deficit_objective,
-                               _in_parameters,
+                               _basis_with_pullback, _column_projectors,
+                               _deficit_objective, _in_parameters,
                                computational_basis, deficit_for_basis,
                                measure_channel, one_way_deficit)
 from qcost.statezoo import (TRIPARTITE_QUBITS, eta_state, ghz_state,
@@ -45,6 +45,22 @@ class TestMeasurementBasis:
         u = haar_unitary(3, 0, 1)
         want = np.array([np.outer(u[:, i], u[:, i].conj()) for i in range(3)])
         assert np.array_equal(MeasurementBasis("X", u).projectors, want)
+
+    def test_projectors_built_once_read_only(self):
+        u = haar_unitary(3, 0, 2)
+        basis = MeasurementBasis("X", u)
+        p = basis.projectors
+        assert basis.projectors is p
+        assert np.array_equal(p, _column_projectors(basis.unitary))
+        with pytest.raises(ValueError):
+            p[0, 0, 0] = 1.0
+
+    def test_computational_basis_shared(self):
+        basis = computational_basis("C", 2)
+        assert computational_basis("C", 2) is basis
+        assert computational_basis("C", 3) is not basis
+        assert computational_basis("B", 2) is not basis
+        assert computational_basis("B", 2).subsystem == "B"
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
