@@ -228,7 +228,7 @@ def partial_trace(rho: DensityMatrix, traced: Iterable[str]) -> DensityMatrix:
     t = rho.mat.reshape(dims * 2)
     remaining = n
     for i in reversed(idx):  # high to low keeps lower axis positions stable
-        t = np.trace(t, axis1=i, axis2=i + remaining)
+        t = t.trace(axis1=i, axis2=i + remaining)
         remaining -= 1
     keep = [i for i in range(n) if i not in idx]
     new_dims = SubsystemDims(

@@ -86,7 +86,7 @@ def ginibre_mixed(dims: SubsystemDims, rank: int, seed: int, index: int) -> Dens
     g = rng.complex_normals(seed, index, d * rank, purpose=rng.PURPOSE_GINIBRE)
     g = g.reshape(d, rank)
     mat = g @ g.conj().T
-    mat /= np.trace(mat).real
+    mat /= mat.trace().real
     return DensityMatrix.trusted(mat, dims)
 
 
@@ -94,6 +94,6 @@ def haar_unitary(d: int, seed: int, index: int) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre matrix, phases fixed)."""
     g = rng.complex_normals(seed, index, d * d, purpose=rng.PURPOSE_UNITARY).reshape(d, d)
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+    ph = r.diagonal().copy()
     ph /= np.abs(ph)
     return q * ph
