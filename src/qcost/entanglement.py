@@ -13,13 +13,13 @@ distance to the state, and for a pure state is already the closest
 separable state in relative entropy.  Two polishes then move every row
 and weight of that start, plus a few seeded random product rows, at once,
 through unnormalised rows whose norms carry the weights: a short L-BFGS-B
-run, then a truncated Newton (TNC) run.  Between them the lightest row
-turns to the product direction that lowers the distance fastest, a
-direction that a row of small weight reaches too slowly by polishing.
-The result is always a certified member of the separable set together
-with its honestly recomputed distance, i.e. a sound upper bound; no
-global-optimality claim is made, and the search does not report why it
-stopped.
+run, then a truncated Newton (TNC) run, each an optim.descend that ends at
+the lowest point it evaluated.  Between them the lightest row turns to the
+product direction that lowers the distance fastest, a direction that a row
+of small weight reaches too slowly by polishing.  The result is always a
+certified member of the separable set together with its honestly
+recomputed distance, i.e. a sound upper bound; no global-optimality claim
+is made, and the search does not report why it stopped.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import optim, rng
 from .measures import (DistanceKind, Objective, distance, relative_entropy,
                        vn_entropy)
 from .qmat import (Bipartition, DensityMatrix, InputError, SubsystemDims,
@@ -191,10 +191,13 @@ def ree_upper(rho: DensityMatrix, cut: Bipartition,
         objective = Objective(rc.mat, kind)
         rows = _with_seeded_rows(start, seed)
         seeded = rows[1][-_SEEDED_ROWS:], rows[2][-_SEEDED_ROWS:]
-        rows = _polish(objective, *rows, "L-BFGS-B",
-                       min(_FIRST_POLISH_ITERS, max_iters))
+        # each ends at its budget or when its line search can no longer
+        # decrease f; TNC also on its default tests of step and gradient
+        rows = _polish(objective, *rows, "L-BFGS-B", {
+            "maxiter": min(_FIRST_POLISH_ITERS, max_iters), "ftol": 0.0, "gtol": 0.0})
         rows = _turn_lightest_row(objective, *rows, *seeded)
-        polished = scored(_polish(objective, *rows, "TNC", max_iters))
+        polished = scored(_polish(objective, *rows, "TNC",
+                                  {"maxfun": max_iters, "maxCGit": _TNC_CG_STEPS}))
         if polished[0] < value:  # the start on ties
             value, ensemble = polished
     # every distance is nonnegative; on a separable state the relative
@@ -240,9 +243,9 @@ def _with_seeded_rows(rows, seed: int):
 
 
 def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
-            right: np.ndarray, method: str, budget: int):
-    """One run of scipy's L-BFGS-B (at most budget iterations) or TNC (at
-    most budget evaluations) over all rows of a separable ensemble at once.
+            right: np.ndarray, method: str, options: dict):
+    """One optim.descend run of method with its scipy options over all rows
+    of a separable ensemble at once, ending at the lowest point it evaluated.
 
     The parameters are the real and imaginary parts of unnormalised rows
     a_j, b_j, which carry the weights in their norms: x_j = a_j (x) b_j,
@@ -264,8 +267,6 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
     spans many orders of magnitude, as it does once sigma has small
     eigenvalues; there L-BFGS-B's ten stored pairs crawl.
     """
-    from scipy.optimize import minimize  # ~0.5 s, on first use
-
     k, dx = left.shape
     dy = right.shape[1]
     scale = np.sqrt(weights)[:, None]
@@ -297,14 +298,9 @@ def _polish(objective: Objective, weights: np.ndarray, left: np.ndarray,
         np.multiply(dz.imag, 2.0, out=grad[n_z:])
         return f, grad
 
-    # each ends at its budget or when its line search can no longer
-    # decrease f; TNC also on its default tests of step and gradient
-    options = ({"maxiter": budget, "ftol": 0.0, "gtol": 0.0}
-               if method == "L-BFGS-B" else
-               {"maxfun": budget, "maxCGit": _TNC_CG_STEPS})
-    res = minimize(value_and_grad, np.concatenate([z0.real, z0.imag]),
-                   jac=True, method=method, options=options)
-    a, b = rows(res.x)
+    _, p, _ = optim.descend(value_and_grad, np.concatenate([z0.real, z0.imag]),
+                            method, options)
+    a, b = rows(p)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     w = (na * nb) ** 2

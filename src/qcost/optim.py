@@ -1,12 +1,13 @@
-"""Seeded multi-start gradient minimization and manifold parameterizations.
+"""The one descent driver, seeded multi-start minimization, and manifold
+parameterizations.
 
-The deficit search is nonconvex but smooth away from eigenvalue
-crossings, and its objective supplies an analytic gradient, so the
-workhorse is seeded multi-start L-BFGS-B.  Starts are independent; the
-reduction over starts is min by value with ties broken by lowest start
-index, so results do not depend on evaluation order.  Each
-parameterization comes with its pullback: the map from the gradient of a
-function of the unitary, dF/d conj(U), to its gradient in the parameters.
+Every search runs through ``descend``: one scipy L-BFGS-B or TNC run that
+returns the lowest point it evaluated.  The deficit search is nonconvex
+but smooth away from eigenvalue crossings, with an analytic gradient, so
+it is seeded multi-start L-BFGS-B.  Starts are independent; the reduction
+over starts is min by value with ties broken by lowest start index, so
+results do not depend on evaluation order.  Each parameterization comes
+with its pullback: the map from dF/d conj(U) to dF/d params.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def start_point(seed: int, j: int, dim: int) -> np.ndarray:
     return rng.normals(seed, j, dim, purpose=rng.PURPOSE_OPTIM)
 
 
+def lbfgsb_options(max_evals: int) -> dict:
+    """The deficit search's L-BFGS-B options, at most max_evals evaluations."""
+    return {"maxfun": max_evals, "ftol": _DECREASE_TOL, "gtol": _GRADIENT_TOL}
+
+
 def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
              dim: int, cfg: OptimizerConfig,
              extra_starts: Sequence[np.ndarray] = ()) -> OptResult:
@@ -72,7 +78,8 @@ def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
     evals = 0
     per_start = []
     for x0 in starts:
-        value, x, used = descend(objective, x0, cfg.max_evals_per_start)
+        value, x, used = descend(objective, x0, "L-BFGS-B",
+                                 lbfgsb_options(cfg.max_evals_per_start))
         evals += used
         per_start.append(value)
         if value < best_value:
@@ -81,15 +88,16 @@ def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
 
 
 def descend(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-            x0: np.ndarray, max_evals: int) -> tuple[float, np.ndarray, int]:
-    """One L-BFGS-B run from x0: (value, point, evaluations used).
+            x0: np.ndarray, method: str, options: dict) -> tuple[float, np.ndarray, int]:
+    """One scipy run of method ("L-BFGS-B" or "TNC") with its scipy options
+    from x0: (value, point, evaluations used).
 
     The point is the lowest-valued one the run evaluated, so the value is
     never above x0's; it is evaluated once more, so the value is the one
     the point achieves.  The run keeps each point's value and gradient: a
-    point that L-BFGS-B's line search evaluates again, and that last
-    evaluation, read them instead of calling the objective.  The count of
-    evaluations still counts them, as scipy's count plus one.
+    point that the line search evaluates again, and that last evaluation,
+    read them instead of calling the objective.  The count of evaluations
+    still counts them, as scipy's count plus one.
     """
     from scipy.optimize import minimize as scipy_minimize  # ~0.5 s, on first use
 
@@ -107,9 +115,7 @@ def descend(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
             seen[:] = value, x.copy()
         return value, grad
 
-    res = scipy_minimize(tracked, x0, jac=True, method="L-BFGS-B",
-                         options={"maxfun": max_evals, "ftol": _DECREASE_TOL,
-                                  "gtol": _GRADIENT_TOL})
+    res = scipy_minimize(tracked, x0, jac=True, method=method, options=options)
     x = seen[1]
     return float(tracked(x)[0]), x, int(res.nfev) + 1
 

@@ -266,9 +266,9 @@ def script_to_json_dict(script: ProtocolScript) -> dict:
 
 def load_script(path) -> ProtocolScript:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"not valid JSON: {exc}") from exc
     return script_from_json_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 

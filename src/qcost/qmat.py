@@ -380,8 +380,8 @@ def save_state(rho: DensityMatrix, path) -> None:
 
 def load_state(path) -> DensityMatrix:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise InputError(f"not valid JSON: {exc}") from exc
     return state_from_json_dict(data)

@@ -123,7 +123,8 @@ def one_way_deficit(rho: DensityMatrix, subsystem: str,
     x = optim.minimize(widest, n_params, cfg, extra_starts=[start]).best_params
     points = [start, x]
     for smoothed in narrower:
-        _, x, _ = optim.descend(smoothed, x, cfg.max_evals_per_start)
+        _, x, _ = optim.descend(smoothed, x, "L-BFGS-B",
+                                optim.lbfgsb_options(cfg.max_evals_per_start))
         points.append(x)
     values = [exact(_basis_unitary(p, d)) for p in points]
     best = values.index(min(values))

@@ -14,7 +14,7 @@ from qcost.protocol import (round_trip_script, script_to_json_dict,
                             trivial_distribution_script)
 from qcost.qmat import (DensityMatrix, save_state, state_to_json_dict,
                         vector_state)
-from qcost.statezoo import TRIPARTITE_QUBITS
+from qcost.statezoo import TRIPARTITE_QUBITS, eta_state
 
 from conftest import bell_vector
 
@@ -136,6 +136,26 @@ class TestGenAndMeasure:
     def test_missing_file(self, capsys):
         code, _ = run_cli(capsys, "measure", "/does/not/exist.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "{dir}"],
+        ["protocol", "{dir}"],
+        ["measure", "{latin1}"],
+        ["protocol", "{latin1}"],
+        ["gen", "--family", "eta", "--out", "{dir}"],
+        ["measure", "{eta}", "--output", "{dir}"],
+    ], ids=["measure-directory", "protocol-directory", "measure-non-utf8",
+            "protocol-non-utf8", "gen-out-directory", "output-directory"])
+    def test_unusable_path_is_an_input_error(self, tmp_path, capsys, argv):
+        # a directory or an undecodable file is an input error (exit 2),
+        # not a traceback with exit 1, the violation code
+        eta, latin1 = tmp_path / "eta.json", tmp_path / "latin1.json"
+        save_state(eta_state(), str(eta))
+        latin1.write_bytes('{"labels": ["\u00c5"]}'.encode("latin-1"))
+        paths = {"dir": tmp_path, "eta": eta, "latin1": latin1}
+        code = cli.main([arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_options_only_where_read(self, tmp_path, capsys):
         path = str(tmp_path / "ghz.json")

@@ -248,6 +248,39 @@ class TestSearch:
 
         assert value(turned) < value((weights, left, right)) - 0.3
 
+    # (method, its options in ree_upper, rank and index of the seed-42
+    # Ginibre state, cut, kind): polishes from the seeded dephased start
+    # whose last iterate is above the lowest point they evaluated, by 7.9e-7
+    # and 2.0e-6
+    LAST_ITERATE_NOT_BEST = (
+        ("L-BFGS-B", {"maxiter": 100, "ftol": 0.0, "gtol": 0.0}, 4, 42,
+         CUT_A_BC, DistanceKind.TRACE),
+        ("TNC", {"maxfun": 250, "maxCGit": 10}, 2, 3,
+         CUT_AC_B, DistanceKind.RELATIVE_ENTROPY))
+
+    @pytest.mark.parametrize("method, options, rank, i, cut, kind",
+                             LAST_ITERATE_NOT_BEST, ids=["L-BFGS-B", "TNC"])
+    def test_polish_returns_its_lowest_point(self, method, options, rank, i,
+                                             cut, kind):
+        rho = ginibre_mixed(TRIPARTITE_QUBITS, rank, 42, i)
+        rc = permute_subsystems(rho, cut.left + cut.right)
+        rows = entanglement._with_seeded_rows(entanglement._dephased_start(
+            rc.mat, rho.dims.subset_dim(cut.left),
+            rho.dims.subset_dim(cut.right)), 42)
+        objective = entanglement.Objective(rc.mat, kind)
+        values = []
+
+        class Recording:
+            def evaluate(self, sigma):
+                value, grad = objective.evaluate(sigma)
+                if np.isfinite(value):
+                    values.append(value)
+                return value, grad
+
+        w, a, b = entanglement._polish(Recording(), *rows, method, options)
+        x = entanglement._product_rows(a, b)
+        assert objective.value((x * w[:, None]).T @ x.conj()) <= min(values) + 1e-12
+
     def test_eta_trace_kind_a_bc_is_one_sixth(self):
         # the partial transpose on A has lowest eigenvalue -1/6 with a
         # maximally entangled eigenvector (Schmidt coefficients 1/sqrt 2),

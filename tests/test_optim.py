@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +14,7 @@ from qcost.quantumness import _deficit_objective, _in_parameters
 from qcost.statezoo import TRIPARTITE_QUBITS, ginibre_mixed
 
 CFG = OptimizerConfig(seed=3)
+LBFGSB = optim.lbfgsb_options(20000)
 
 
 def bowl(x):
@@ -106,7 +110,8 @@ class TestDescend:
 
     @staticmethod
     def unmemoized_descend(objective, x0, max_evals):
-        """descend without its memo: every evaluation calls the objective."""
+        """L-BFGS-B descend without its memo: every evaluation calls the
+        objective."""
         from scipy.optimize import minimize as scipy_minimize
         seen = [np.inf, x0]
 
@@ -134,7 +139,7 @@ class TestDescend:
             return objective(x)
 
         x0 = np.array([0.3, 0.2])
-        value, x, evals = descend(counted, x0, 20000)
+        value, x, evals = descend(counted, x0, "L-BFGS-B", LBFGSB)
         want_value, want_x, want_evals = self.unmemoized_descend(objective, x0, 20000)
         assert value == want_value
         assert np.array_equal(x, want_x)
@@ -145,6 +150,25 @@ class TestDescend:
         assert len(points) < evals
         if name == "deficit":
             assert len(points) < evals - 1
+
+    @pytest.mark.parametrize("name", ["deficit", "rosenbrock"])
+    def test_tnc_returns_its_lowest_point(self, name):
+        objective = (self.deficit_search_objective() if name == "deficit"
+                     else rosenbrock)
+        points, values = [], []
+
+        def counted(x):
+            value, grad = objective(x)
+            points.append(x.tobytes())
+            values.append(value)
+            return value, grad
+
+        value, x, evals = descend(counted, np.array([0.3, 0.2]), "TNC",
+                                  {"maxfun": 200, "maxCGit": 10})
+        assert value == min(values)
+        assert value == objective(x)[0]
+        assert len(points) == len(set(points))
+        assert len(points) < evals
 
     def test_objective_may_reuse_its_gradient_array(self):
         # the memo keeps a copy of each gradient, so an objective that
@@ -158,10 +182,21 @@ class TestDescend:
             return value, buffer
 
         x0 = np.array([0.3, 0.2])
-        value, x, evals = descend(reusing, x0, 20000)
-        want_value, want_x, want_evals = descend(objective, x0, 20000)
+        value, x, evals = descend(reusing, x0, "L-BFGS-B", LBFGSB)
+        want_value, want_x, want_evals = descend(objective, x0, "L-BFGS-B", LBFGSB)
         assert (value, evals) == (want_value, want_evals)
         assert np.array_equal(x, want_x)
+
+    def test_one_scipy_optimize_call_site(self):
+        # every search runs through descend: no other module imports the
+        # optimizer, so every search returns its lowest evaluated point
+        src = Path(optim.__file__).parent
+        imports = [(path.name, line.strip())
+                   for path in sorted(src.glob("*.py"))
+                   for line in path.read_text().splitlines()
+                   if re.match(r"\s*(from|import)\s+scipy(\.optimize\b|\s+import.*\boptimize\b)",
+                               line)]
+        assert [name for name, _ in imports] == ["optim.py"], imports
 
 
 def assert_pullback_matches_differences(with_pullback, n_params, gen):
